@@ -14,9 +14,9 @@ import json
 import sys
 
 from .linearization import (
+    _linearize,
     conjecture_sweep,
     inhomogeneous_gf,
-    linearization_coefficient,
     mixed_coefficient,
     mixed_residual,
 )
@@ -161,11 +161,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    coefficients = [linearization_coefficient(n, m, j) for j in range(min(n, m) + 1)]
-    lhs = associated_hermite(n) * associated_hermite(m)
-    rhs = Poly.zero()
-    for j, p in enumerate(coefficients):
-        rhs = rhs + p * associated_hermite(n + m - 2 * j)
+    coefficients, lhs, rhs = _linearize(n, m)
     if args.csv:
         rows = [row for j, p in enumerate(coefficients) for row in _poly_rows(p, [j])]
         _emit_csv(["j", "xd", "cd", "num", "den"], rows)

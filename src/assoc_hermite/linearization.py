@@ -19,6 +19,7 @@ from .matchings import (
     DEFAULT_CAP,
     Blocks,
     WeightScheme,
+    _gf,
     enumerate_inhomogeneous,
     weight,
 )
@@ -41,15 +42,16 @@ def linearization_coefficient(N: int, M: int, j: int) -> Poly:
     """
     if not 0 <= j <= min(N, M):
         raise ValueError(f"j must lie in 0..min(N,M), got {j}")
-    total = Poly.zero()
-    for k in range(min(N - j, M - j, j) + 1):
+
+    def term(k: int) -> Poly:
         scalar = (
             math.comb(N - j, k)
             * math.comb(M - j, k)
             * rising_factorial_value(j - k + 1, k)
         )
-        total = total + scalar * rising_factorial(C + (N + M - 2 * j), j - k)
-    return total
+        return scalar * rising_factorial(C + (N + M - 2 * j), j - k)
+
+    return _gf(range(min(N - j, M - j, j) + 1), term)
 
 
 def linearization_coefficient_hypergeometric(
@@ -80,14 +82,20 @@ def linearization_coefficient_hypergeometric(
     return prefactor * total
 
 
+def _linearize(N: int, M: int) -> tuple[list[Poly], Poly, Poly]:
+    """The coefficients for j = 0..min(N,M), H_N H_M, and their expansion."""
+    coefficients = [linearization_coefficient(N, M, j) for j in range(min(N, M) + 1)]
+    lhs = associated_hermite(N) * associated_hermite(M)
+    rhs = _gf(
+        range(len(coefficients)),
+        lambda j: coefficients[j] * associated_hermite(N + M - 2 * j),
+    )
+    return coefficients, lhs, rhs
+
+
 def verify_linearization(N: int, M: int) -> bool:
     """Whether H_N H_M equals the coefficient-weighted expansion, exactly."""
-    lhs = associated_hermite(N) * associated_hermite(M)
-    rhs = Poly.zero()
-    for j in range(min(N, M) + 1):
-        rhs = rhs + linearization_coefficient(N, M, j) * associated_hermite(
-            N + M - 2 * j
-        )
+    _, lhs, rhs = _linearize(N, M)
     return lhs == rhs
 
 
@@ -105,9 +113,10 @@ def mixed_residual(n: int, m: int) -> Poly:
     expansion misses.
     """
     lhs = associated_hermite(n) * usual_hermite(m)
-    rhs = Poly.zero()
-    for k in range(min(m, (n + m) // 2) + 1):
-        rhs = rhs + mixed_coefficient(n, m, k) * associated_hermite(n + m - 2 * k)
+    rhs = _gf(
+        range(min(m, (n + m) // 2) + 1),
+        lambda k: mixed_coefficient(n, m, k) * associated_hermite(n + m - 2 * k),
+    )
     return lhs - rhs
 
 
@@ -134,10 +143,7 @@ def inhomogeneous_gf(
     sizes = tuple(sizes)
     if sum(sizes) % 2:
         return Poly.zero()
-    total = Poly.zero()
-    for m in enumerate_inhomogeneous(Blocks(sizes), cap=cap):
-        total = total + weight(m, scheme)
-    return total
+    return _gf(enumerate_inhomogeneous(Blocks(sizes), cap=cap), lambda m: weight(m, scheme))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matchings import Edge, Matching, is_connected
+from .matchings import Edge, Matching, _edge_relations, is_connected, nonnested_edges
 from .polynomials import Poly
 
 
@@ -126,6 +126,15 @@ class RootedMap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RootedMap":
+        """Parse the to_json_obj form; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a map must be an object with rotation, pairing and root")
+        for key in ("rotation", "pairing"):
+            darts = obj.get(key)
+            if not isinstance(darts, (list, tuple)) or any(type(h) is not int for h in darts):
+                raise ValueError(f"map {key} must be a list of integer darts")
+        if "root" not in obj or not (obj["root"] is None or type(obj["root"]) is int):
+            raise ValueError("map root must be an integer dart or null")
         return cls(tuple(obj["rotation"]), tuple(obj["pairing"]), obj["root"])
 
 
@@ -266,14 +275,7 @@ def marked_word(m: Matching) -> tuple[str, ...]:
 
 def connected_matching_tags(m: Matching) -> frozenset[Edge]:
     """Edges nested by nothing, excluding any edge containing vertex 1."""
-    out = []
-    for a, b in m.edges:
-        if a == 1:
-            continue
-        if any(a2 < a and b < b2 for a2, b2 in m.edges):
-            continue
-        out.append((a, b))
-    return frozenset(out)
+    return frozenset(e for e in nonnested_edges(m) if e[0] != 1)
 
 
 def connected_matching_weight(m: Matching) -> Poly:
@@ -343,11 +345,11 @@ def tail_swap_inverse(m: Matching, tags: frozenset[Edge] | set[Edge]) -> Matchin
     if not m.is_complete():
         raise ValueError("needs a complete matching")
     tags = frozenset(tags)
+    relations = _edge_relations(m)
     for e in tags:
-        if e not in m.edges:
+        if e not in relations:
             raise ValueError(f"tag {e!r} is not an edge")
-        a, b = e
-        if any(a2 < a and b < b2 for a2, b2 in m.edges):
+        if relations[e].is_nested_by_other:
             raise ValueError(f"tag {e!r} sits on a nested edge")
     edges = [(a + 1, b + 1) for a, b in m.edges]
     marker = (1, m.n + 2)

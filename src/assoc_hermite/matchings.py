@@ -1,10 +1,17 @@
 """Partial matchings on {1, ..., n}: enumeration, edge statistics, weights.
 
 A matching is a set of disjoint edges (i, j) with 1 <= i < j <= n; vertices
-on no edge are fixed points.  Enumeration is deterministic: the smallest
-unmatched vertex is joined to each larger available vertex in increasing
-order (with the fixed-point branch first for partial matchings), so repeated
-runs stream identical sequences.
+on no edge are fixed points.  Three private helpers carry every matching
+model in the package:
+
+- `_pairings` is the one pairing kernel.  The smallest unmatched vertex is
+  joined to each larger available vertex with a different label, in
+  increasing order (with the fixed-point branch first for partial
+  matchings), so enumeration is deterministic and repeated runs stream
+  identical sequences.
+- `_edge_relations` is the one edge-relation pass: nested, crossed from the
+  left or right, and nesting an edge or fixed point, for all edges at once.
+- `_gf` is the one fold that sums weights into a polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import Poly
 
@@ -71,14 +79,6 @@ class Matching:
     def is_complete(self) -> bool:
         return 2 * len(self.edges) == self.n
 
-    def partner(self, v: int) -> int | None:
-        for a, b in self.edges:
-            if v == a:
-                return b
-            if v == b:
-                return a
-        return None
-
     def edge_of(self, v: int) -> Edge | None:
         for e in self.edges:
             if v in e:
@@ -120,35 +120,48 @@ MOMENT_SCHEMES = (
 )
 
 
+def _edge_relations(m: Matching) -> dict[Edge, EdgeStats]:
+    """Nesting and crossing relations of every edge of m, in edge order.
+
+    Edges are sorted by left endpoint, so a later edge that starts beyond
+    the right end of an earlier one is disjoint from it, and so is every
+    edge after that.  Nested fixed points are counted by a prefix sum.
+    """
+    edges = m.edges
+    k = len(edges)
+    matched = bytearray(m.n + 1)
+    for a, b in edges:
+        matched[a] = matched[b] = 1
+    free_upto = list(accumulate(1 - x for x in matched))
+    nested = [False] * k
+    left = [False] * k
+    right = [False] * k
+    nests = [free_upto[b] > free_upto[a] for a, b in edges]
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, k):
+            a2, b2 = edges[j]
+            if a2 > b:
+                break
+            if b2 < b:
+                nested[j] = nests[i] = True
+            else:
+                right[i] = left[j] = True
+    return {
+        e: EdgeStats(nested[i], left[i], right[i], nests[i])
+        for i, e in enumerate(edges)
+    }
+
+
 def edge_stats(m: Matching, e: Edge) -> EdgeStats:
     """Nesting and crossing relations of edge e inside matching m."""
     if e not in m.edges:
         raise ValueError(f"edge {e!r} not in matching {m}")
-    a, b = e
-    nested = False
-    left = False
-    right = False
-    nests = any(a < v < b for v in m.fixed_points())
-    for a2, b2 in m.edges:
-        if (a2, b2) == e:
-            continue
-        if a2 < a and b < b2:
-            nested = True
-        if a2 < a < b2 < b:
-            left = True
-        if a < a2 < b < b2:
-            right = True
-        if a < a2 and b2 < b:
-            nests = True
-    return EdgeStats(nested, left, right, nests)
+    return _edge_relations(m)[e]
 
 
 def nonnested_edges(m: Matching) -> tuple[Edge, ...]:
     """Edges of m not nested by any other edge."""
-    return tuple(
-        e for e in m.edges
-        if not any(a2 < e[0] and e[1] < b2 for a2, b2 in m.edges if (a2, b2) != e)
-    )
+    return tuple(e for e, s in _edge_relations(m).items() if not s.is_nested_by_other)
 
 
 def weight(m: Matching, scheme: WeightScheme) -> Poly:
@@ -157,19 +170,19 @@ def weight(m: Matching, scheme: WeightScheme) -> Poly:
         return weight(reverse(m), WeightScheme.POLY_RIGHTMOST)
     if scheme in MOMENT_SCHEMES and not m.is_complete():
         raise ValueError("moment weightings apply to complete matchings only")
-    stats = {e: edge_stats(m, e) for e in m.edges}
+    stats = _edge_relations(m).values()
     if scheme is WeightScheme.MOMENT_NONNESTED:
-        cd = sum(1 for s in stats.values() if not s.is_nested_by_other)
+        cd = sum(1 for s in stats if not s.is_nested_by_other)
         return Poly.monomial(0, cd)
     if scheme is WeightScheme.MOMENT_NO_RIGHT_CROSSING:
-        cd = sum(1 for s in stats.values() if not s.has_right_crossing)
+        cd = sum(1 for s in stats if not s.has_right_crossing)
         return Poly.monomial(0, cd)
     if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
-        cd = sum(1 for s in stats.values() if not s.has_left_crossing)
+        cd = sum(1 for s in stats if not s.has_left_crossing)
         return Poly.monomial(0, cd)
     if scheme is WeightScheme.POLY_RIGHTMOST:
         special = sum(
-            1 for s in stats.values()
+            1 for s in stats
             if not s.nests_edge_or_fixed_point and not s.has_left_crossing
         )
         sign = -1 if len(m.edges) % 2 else 1
@@ -184,24 +197,36 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
 
 
-def _complete_pairings(vertices: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
+def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
+    """The sum of weigh(obj) over the objects, built as one polynomial."""
+    acc: dict = {}
+    for obj in objects:
+        for key, q in weigh(obj).terms.items():
+            acc[key] = acc.get(key, 0) + q
+    return Poly(acc)
+
+
+def _pairings(
+    vertices: tuple[int, ...],
+    label: Sequence[int] | None = None,
+    partial: bool = False,
+) -> Iterator[tuple[Edge, ...]]:
+    """Edge tuples pairing the vertices, in the order the module promises.
+
+    Two vertices pair only when their labels differ (any two, without
+    labels).  With partial, vertices may stay unpaired.
+    """
     if not vertices:
         yield ()
         return
     v, rest = vertices[0], vertices[1:]
+    if partial:
+        yield from _pairings(rest, label, partial)
+    own = None if label is None else label[v]
     for i, w in enumerate(rest):
-        for tail in _complete_pairings(rest[:i] + rest[i + 1:]):
-            yield ((v, w),) + tail
-
-
-def _partial_pairings(vertices: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
-    if not vertices:
-        yield ()
-        return
-    v, rest = vertices[0], vertices[1:]
-    yield from _partial_pairings(rest)
-    for i, w in enumerate(rest):
-        for tail in _partial_pairings(rest[:i] + rest[i + 1:]):
+        if own is not None and label[w] == own:
+            continue
+        for tail in _pairings(rest[:i] + rest[i + 1:], label, partial):
             yield ((v, w),) + tail
 
 
@@ -210,14 +235,14 @@ def enumerate_complete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     _check_cap(n, cap)
     if n % 2:
         raise ValueError("complete matchings need an even vertex count")
-    for edges in _complete_pairings(tuple(range(1, n + 1))):
+    for edges in _pairings(tuple(range(1, n + 1))):
         yield Matching(n, edges)
 
 
 def enumerate_incomplete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     """All partial matchings on {1, ..., n} (fixed points allowed)."""
     _check_cap(n, cap)
-    for edges in _partial_pairings(tuple(range(1, n + 1))):
+    for edges in _pairings(tuple(range(1, n + 1)), partial=True):
         yield Matching(n, edges)
 
 
@@ -253,25 +278,8 @@ def enumerate_inhomogeneous(blocks: Blocks, cap: int = DEFAULT_CAP) -> Iterator[
     _check_cap(n, cap)
     if n % 2:
         raise ValueError("inhomogeneous matchings need an even vertex total")
-    block_of = [0] * (n + 1)
-    upper = 0
-    for i, s in enumerate(blocks.sizes):
-        for v in range(upper + 1, upper + s + 1):
-            block_of[v] = i
-        upper += s
-
-    def rec(vertices: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
-        if not vertices:
-            yield ()
-            return
-        v, rest = vertices[0], vertices[1:]
-        for i, w in enumerate(rest):
-            if block_of[w] == block_of[v]:
-                continue
-            for tail in rec(rest[:i] + rest[i + 1:]):
-                yield ((v, w),) + tail
-
-    for edges in rec(tuple(range(1, n + 1))):
+    block_of = [0] + [i for i, s in enumerate(blocks.sizes) for _ in range(s)]
+    for edges in _pairings(tuple(range(1, n + 1)), block_of):
         yield Matching(n, edges)
 
 

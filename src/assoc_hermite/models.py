@@ -21,9 +21,12 @@ from .matchings import (
     Edge,
     Matching,
     WeightScheme,
-    edge_stats,
+    _edge_relations,
+    _gf,
+    _pairings,
     enumerate_incomplete,
     enumerate_inhomogeneous,
+    nonnested_edges,
     weight,
 )
 from .polynomials import C, Poly, X, rising_factorial
@@ -56,10 +59,10 @@ def associated_hermite_matchings(n: int, cap: int = DEFAULT_CAP) -> Poly:
     Fixed points weigh x; an edge weighs -c when it nests no fixed point or
     edge and has no left crossing, and -1 otherwise.
     """
-    total = Poly.zero()
-    for m in enumerate_incomplete(n, cap=cap):
-        total = total + weight(m, WeightScheme.POLY_RIGHTMOST)
-    return total
+    return _gf(
+        enumerate_incomplete(n, cap=cap),
+        lambda m: weight(m, WeightScheme.POLY_RIGHTMOST),
+    )
 
 
 def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
@@ -75,7 +78,7 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
     rest = tuple(range(2, total + 1))
     for t in rest:
         others = tuple(v for v in rest if v != t)
-        for sub in _partial_on(others):
+        for sub in _pairings(others, partial=True):
             fixed = set(others) - {v for e in sub for v in e}
             if any(v > t for v in fixed):
                 continue
@@ -84,47 +87,28 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
             yield Matching(total, sub + ((1, t),))
 
 
-def _partial_on(vertices: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
-    if not vertices:
-        yield ()
-        return
-    v, rest = vertices[0], vertices[1:]
-    yield from _partial_on(rest)
-    for i, w in enumerate(rest):
-        for tail in _partial_on(rest[:i] + rest[i + 1:]):
-            yield ((v, w),) + tail
-
-
 def marker_edge_model(n: int, cap: int = DEFAULT_CAP) -> Poly:
     """H_n(x; c+1) as the generating function of marker-edge matchings.
 
     The marker edge weighs +1, fixed points weigh x, edges nested by some
     other edge weigh -1, and the remaining edges weigh -c.
     """
-    total = Poly.zero()
-    for m in enumerate_marker_edge_matchings(n, cap=cap):
-        marker = m.edge_of(1)
-        plain = 0
-        special = 0
-        for e in m.edges:
-            if e == marker:
-                continue
-            if edge_stats(m, e).is_nested_by_other:
-                plain += 1
-            else:
-                special += 1
-        sign = -1 if (plain + special) % 2 else 1
-        total = total + Poly.monomial(len(m.fixed_points()), special, sign)
-    return total
+
+    def weigh(m: Matching) -> Poly:
+        # The marker edge starts at vertex 1, so nothing nests it.
+        special = len(nonnested_edges(m)) - 1
+        sign = -1 if (len(m.edges) - 1) % 2 else 1
+        return Poly.monomial(len(m.fixed_points()), special, sign)
+
+    return _gf(enumerate_marker_edge_matchings(n, cap=cap), weigh)
 
 
 def associated_in_hermite_basis(n: int) -> Poly:
     """The sum (-1)^k (c)_k binom(n-k, k) H_{n-2k}(x), equal to H_n(x; c+1)."""
-    total = Poly.zero()
-    for k in range(n // 2 + 1):
-        sign = -1 if k % 2 else 1
-        total = total + sign * comb(n - k, k) * rising_factorial(C, k) * usual_hermite(n - 2 * k)
-    return total
+    return _gf(
+        range(n // 2 + 1),
+        lambda k: (-1) ** k * comb(n - k, k) * rising_factorial(C, k) * usual_hermite(n - 2 * k),
+    )
 
 
 @cache
@@ -143,13 +127,14 @@ def chebyshev_u_matchings(n: int, cap: int = DEFAULT_CAP) -> Poly:
     Fixed points weigh x and each edge (i, i+1) weighs -1; no other edges
     are allowed.  Used as an independent cross-check of the recurrence.
     """
-    total = Poly.zero()
-    for m in enumerate_incomplete(n, cap=cap):
-        if any(b != a + 1 for a, b in m.edges):
-            continue
-        sign = -1 if len(m.edges) % 2 else 1
-        total = total + Poly.monomial(len(m.fixed_points()), 0, sign)
-    return total
+    adjacent = (
+        m for m in enumerate_incomplete(n, cap=cap)
+        if all(b == a + 1 for a, b in m.edges)
+    )
+    return _gf(
+        adjacent,
+        lambda m: Poly.monomial(len(m.fixed_points()), 0, -1 if len(m.edges) % 2 else 1),
+    )
 
 
 def chebyshev_rescaled_terms(n: int) -> dict[tuple[int, int], Fraction]:
@@ -201,12 +186,10 @@ class AnchoredConfig:
 
 
 def _special_edges(m: Matching) -> frozenset[Edge]:
-    out = []
-    for e in m.edges:
-        stats = edge_stats(m, e)
-        if not stats.nests_edge_or_fixed_point and not stats.has_left_crossing:
-            out.append(e)
-    return frozenset(out)
+    return frozenset(
+        e for e, s in _edge_relations(m).items()
+        if not s.nests_edge_or_fixed_point and not s.has_left_crossing
+    )
 
 
 def _is_anchored(m: Matching, special: frozenset[Edge]) -> bool:
@@ -233,10 +216,7 @@ def enumerate_anchored_configs(k: int, cap: int = DEFAULT_CAP) -> Iterator[Ancho
 
 def anchored_config_gf(k: int, cap: int = DEFAULT_CAP) -> Poly:
     """Sum of anchored-configuration weights; equals (-1)^k (c)_k."""
-    total = Poly.zero()
-    for cfg in enumerate_anchored_configs(k, cap=cap):
-        total = total + cfg.weight()
-    return total
+    return _gf(enumerate_anchored_configs(k, cap=cap), AnchoredConfig.weight)
 
 
 def _insert_edge(m: Matching, gap: int) -> tuple[Matching, Edge, dict[Edge, Edge]]:
@@ -288,11 +268,8 @@ def two_row_matching_gf(n: int, cap: int = DEFAULT_CAP) -> Poly:
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    total = Poly.zero()
-    for m in enumerate_two_row_matchings(n, cap=cap):
-        cd = sum(
-            1 for e in m.edges
-            if 1 not in e and not edge_stats(m, e).is_nested_by_other
-        )
-        total = total + Poly.monomial(0, cd)
-    return total
+    # The edge at vertex 1 is never nested.
+    return _gf(
+        enumerate_two_row_matchings(n, cap=cap),
+        lambda m: Poly.monomial(0, len(nonnested_edges(m)) - 1),
+    )

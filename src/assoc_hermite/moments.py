@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .matchings import DEFAULT_CAP, Edge, Matching, WeightScheme, weight
+from .matchings import DEFAULT_CAP, Edge, WeightScheme, _gf, weight
 from .models import associated_hermite
 from .polynomials import C, Poly, rising_factorial
 
@@ -39,6 +39,18 @@ def enumerate_dyck_paths(length: int) -> Iterator[DyckPath]:
     yield from rec((), 0, length)
 
 
+def _path_weight(path: DyckPath) -> Poly:
+    height = 0
+    w = Poly.one()
+    for step in path:
+        if step == 1:
+            height += 1
+        else:
+            w = w * (C + (height - 1))
+            height -= 1
+    return w
+
+
 @cache
 def moment(n: int) -> Poly:
     """The nth moment mu_n(c), summed over weighted Dyck paths."""
@@ -46,18 +58,7 @@ def moment(n: int) -> Poly:
         raise ValueError("moment index must be nonnegative")
     if n % 2:
         return Poly.zero()
-    total = Poly.zero()
-    for path in enumerate_dyck_paths(n):
-        height = 0
-        w = Poly.one()
-        for step in path:
-            if step == 1:
-                height += 1
-            else:
-                w = w * (C + (height - 1))
-                height -= 1
-        total = total + w
-    return total
+    return _gf(enumerate_dyck_paths(n), _path_weight)
 
 
 def moment_via_matchings(n: int, scheme: WeightScheme, cap: int = DEFAULT_CAP) -> Poly:
@@ -66,18 +67,17 @@ def moment_via_matchings(n: int, scheme: WeightScheme, cap: int = DEFAULT_CAP) -
 
     if n % 2:
         return Poly.zero()
-    total = Poly.zero()
-    for m in enumerate_complete(n, cap=cap):
-        total = total + weight(m, scheme)
-    return total
+    return _gf(enumerate_complete(n, cap=cap), lambda m: weight(m, scheme))
 
 
 def apply_functional(p: Poly) -> Poly:
     """Apply L_c coefficientwise: x^k c^m goes to mu_k(c) c^m."""
-    total = Poly.zero()
-    for (xd, cd), q in p.terms.items():
-        total = total + q * Poly.monomial(0, cd) * moment(xd)
-    return total
+
+    def term(item) -> Poly:
+        (xd, cd), q = item
+        return Poly.monomial(0, cd, q) * moment(xd)
+
+    return _gf(p.terms.items(), term)
 
 
 def inner_product(n: int, m: int) -> Poly:

@@ -40,6 +40,7 @@ from .matchings import (
     Blocks,
     Matching,
     WeightScheme,
+    _gf,
     edge_stats,
     enumerate_complete,
     enumerate_inhomogeneous,
@@ -197,9 +198,7 @@ def suite_orthogonality() -> RunReport:
                 rec.check(f"inner product ({n},{m})", inner_product(n, m), expected)
         for n in range(11):
             for m in range(11 - n):
-                total = Poly.zero()
-                for pm in enumerate_paired(n, m):
-                    total = total + paired_weight(pm)
+                total = _gf(enumerate_paired(n, m), paired_weight)
                 expected = rising_factorial(C, n) if n == m else Poly.zero()
                 rec.check(f"paired matching sum ({n},{m})", total, expected)
 
@@ -245,11 +244,9 @@ def suite_involution() -> RunReport:
                         sorted(itertools.permutations(range(1, n + 1))),
                     )
         for n in range(7):
-            by_lrm = Poly.zero()
-            by_cycles = Poly.zero()
-            for pi in itertools.permutations(range(1, n + 1)):
-                by_lrm = by_lrm + Poly.monomial(0, left_to_right_maxima(pi))
-                by_cycles = by_cycles + Poly.monomial(0, cycle_count(pi))
+            perms = list(itertools.permutations(range(1, n + 1)))
+            by_lrm = _gf(perms, lambda pi: Poly.monomial(0, left_to_right_maxima(pi)))
+            by_cycles = _gf(perms, lambda pi: Poly.monomial(0, cycle_count(pi)))
             rec.check(f"sum of c^lrm over S_{n}", by_lrm, rising_factorial(C, n))
             rec.check(f"sum of c^cycles over S_{n}", by_cycles, rising_factorial(C, n))
 
@@ -439,9 +436,10 @@ def suite_polynomial_models() -> RunReport:
         for n in range(1, 7):
             expected = rising_factorial(C + 1, n - 1)
             rec.check(f"two-row matchings on [{n}]+[{n}]", two_row_matching_gf(n), expected)
-            total = Poly.zero()
-            for pi in itertools.permutations(range(1, n + 1)):
-                total = total + Poly.monomial(0, left_to_right_maxima(pi) - 1)
+            total = _gf(
+                itertools.permutations(range(1, n + 1)),
+                lambda pi: Poly.monomial(0, left_to_right_maxima(pi) - 1),
+            )
             rec.check(f"sum of c^(lrm-1) over S_{n}", total, expected)
 
     return _run("polynomial models", body)
@@ -747,9 +745,7 @@ def suite_maps_extended() -> RunReport:
     def body(rec: _Recorder) -> None:
         maps = list(enumerate_rooted_maps(4))
         rec.check("rooted maps with 4 edges", len(maps), 706)
-        gf = Poly.zero()
-        for rm in maps:
-            gf = gf + rm.weight()
+        gf = _gf(maps, RootedMap.weight)
         rec.check("rooted-map generating function, 4 edges", gf, moment(8).shift_c())
 
     return _run("rooted maps, extended", body)

@@ -207,10 +207,22 @@ def test_bijection_map_matching(capsys):
     assert doc["tags"] == ["(2,11)", "(4,12)"]
 
 
-def test_bijection_map_matching_bad_json(capsys):
-    rc, _, err = run(capsys, "bijection", "map-matching", "{not json")
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("{not json", "not JSON"),
+        ('{"rotation":[0]}', "pairing"),
+        ("[1,2]", "object"),
+        ('{"rotation":[1,0],"pairing":[1,0]}', "root"),
+    ],
+    ids=["not-json", "missing-pairing", "not-object", "missing-root"],
+)
+def test_bijection_map_matching_bad_json(capsys, value, message):
+    rc, _, err = run(capsys, "bijection", "map-matching", value)
     assert rc == 2
-    assert "not JSON" in err
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_bijection_quadruples(capsys):

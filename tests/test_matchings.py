@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from assoc_hermite.matchings import (
     Blocks,
+    EdgeStats,
     Matching,
     WeightScheme,
+    _edge_relations,
     edge_stats,
     enumerate_complete,
     enumerate_incomplete,
@@ -89,6 +91,68 @@ def test_edge_stats_on_a_small_instance():
     assert outer.has_right_crossing and inner.has_right_crossing
     assert late.has_left_crossing and not late.has_right_crossing
     assert nonnested_edges(m) == ((1, 5), (3, 6))
+
+
+def reference_edge_stats(m, e):
+    """The per-edge scan that the single relation pass replaced."""
+    if e not in m.edges:
+        raise ValueError(f"edge {e!r} not in matching {m}")
+    a, b = e
+    nested = False
+    left = False
+    right = False
+    nests = any(a < v < b for v in m.fixed_points())
+    for a2, b2 in m.edges:
+        if (a2, b2) == e:
+            continue
+        if a2 < a and b < b2:
+            nested = True
+        if a2 < a < b2 < b:
+            left = True
+        if a < a2 < b < b2:
+            right = True
+        if a < a2 and b2 < b:
+            nests = True
+    return EdgeStats(nested, left, right, nests)
+
+
+def reference_nonnested_edges(m):
+    return tuple(
+        e for e in m.edges
+        if not any(a2 < e[0] and e[1] < b2 for a2, b2 in m.edges if (a2, b2) != e)
+    )
+
+
+def test_edge_relations_match_the_per_edge_scan():
+    checked = 0
+    for n in range(9):
+        for m in enumerate_incomplete(n):
+            relations = _edge_relations(m)
+            assert tuple(relations) == m.edges
+            for e in m.edges:
+                assert relations[e] == reference_edge_stats(m, e), (m, e)
+                assert edge_stats(m, e) == relations[e]
+            assert nonnested_edges(m) == reference_nonnested_edges(m)
+            checked += 1
+    assert checked == 1116
+
+
+def test_enumeration_order_is_pinned():
+    assert [m.edges for m in enumerate_incomplete(4)] == [
+        (), ((3, 4),), ((2, 3),), ((2, 4),), ((1, 2),), ((1, 2), (3, 4)),
+        ((1, 3),), ((1, 3), (2, 4)), ((1, 4),), ((1, 4), (2, 3)),
+    ]
+    assert [m.to_text() for m in enumerate_complete(6)] == [
+        "(1,2)(3,4)(5,6)", "(1,2)(3,5)(4,6)", "(1,2)(3,6)(4,5)",
+        "(1,3)(2,4)(5,6)", "(1,3)(2,5)(4,6)", "(1,3)(2,6)(4,5)",
+        "(1,4)(2,3)(5,6)", "(1,4)(2,5)(3,6)", "(1,4)(2,6)(3,5)",
+        "(1,5)(2,3)(4,6)", "(1,5)(2,4)(3,6)", "(1,5)(2,6)(3,4)",
+        "(1,6)(2,3)(4,5)", "(1,6)(2,4)(3,5)", "(1,6)(2,5)(3,4)",
+    ]
+    assert [m.to_text() for m in enumerate_inhomogeneous(Blocks((2, 1, 3)))] == [
+        "(1,4)(2,5)(3,6)", "(1,4)(2,6)(3,5)", "(1,5)(2,4)(3,6)",
+        "(1,5)(2,6)(3,4)", "(1,6)(2,4)(3,5)", "(1,6)(2,5)(3,4)",
+    ]
 
 
 def test_edge_stats_requires_membership():

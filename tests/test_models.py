@@ -14,6 +14,7 @@ from assoc_hermite.models import (
     chebyshev_u,
     chebyshev_u_matchings,
     enumerate_anchored_configs,
+    enumerate_marker_edge_matchings,
     enumerate_two_row_matchings,
     marker_edge_model,
     two_row_matching_gf,
@@ -65,6 +66,12 @@ def test_matchings_model_matches_recurrence(n):
 @pytest.mark.parametrize("n", range(8))
 def test_marker_edge_model_is_the_shifted_polynomial(n):
     assert marker_edge_model(n) == associated_hermite(n).shift_c()
+
+
+def test_marker_edge_enumeration_order_is_pinned():
+    assert [(m.n, m.edges) for m in enumerate_marker_edge_matchings(2)] == [
+        (4, ((1, 3), (2, 4))), (4, ((1, 4),)), (4, ((1, 4), (2, 3))),
+    ]
 
 
 def test_basis_expansion_identity():
