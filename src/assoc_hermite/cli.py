@@ -59,6 +59,11 @@ GENERATORS = (
     "chebyshev-limit",
 )
 
+# H_n(x; c) costs roughly cubic time in n through Fraction arithmetic, so a
+# command that runs its recurrence past this degree is refused, not left to
+# run for many minutes.
+_MAX_RECURRENCE_DEGREE = 450
+
 BIJECTIONS = (
     "tableau",
     "tableau-inv",
@@ -100,6 +105,14 @@ def _cap(args: argparse.Namespace) -> int:
     return cap
 
 
+def _check_recurrence_degree(n: int) -> None:
+    if n > _MAX_RECURRENCE_DEGREE:
+        raise ValueError(
+            f"degree {n} exceeds {_MAX_RECURRENCE_DEGREE}, the largest the "
+            "associated recurrence is run to"
+        )
+
+
 def _edge_texts(edges) -> list[str]:
     return [f"({a},{b})" for a, b in sorted(edges)]
 
@@ -107,6 +120,8 @@ def _edge_texts(edges) -> list[str]:
 def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
     cap = _cap(args)
+    if args.generator in ("recurrence", "chebyshev-limit"):
+        _check_recurrence_degree(n)
     if args.generator == "recurrence":
         p = associated_hermite(n)
     elif args.generator == "matchings":
@@ -184,6 +199,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 def _cmd_mixed(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
+    _check_recurrence_degree(n + m)
     bound = min(m, (n + m) // 2)
     coefficients = [mixed_coefficient(n, m, k) for k in range(bound + 1)]
     lhs = associated_hermite(n) * usual_hermite(m)

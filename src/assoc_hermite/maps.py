@@ -257,20 +257,11 @@ def double_occurrence_word(m: Matching) -> tuple[int, ...]:
 
 
 def marked_word(m: Matching) -> tuple[str, ...]:
-    """Like double_occurrence_word, but the edge at vertex 1 prints as "a"."""
-    marker = m.edge_of(1)
-    if marker is None:
+    """double_occurrence_word with the edge at vertex 1 printed as "a" and
+    every later letter k printed as k - 1."""
+    if m.edge_of(1) is None:
         raise ValueError("needs vertex 1 matched")
-    letter: dict[Edge, str] = {marker: "a"}
-    out = []
-    for v in range(1, m.n + 1):
-        e = m.edge_of(v)
-        if e is None:
-            raise ValueError("needs a complete matching")
-        if e not in letter:
-            letter[e] = str(len(letter))
-        out.append(letter[e])
-    return tuple(out)
+    return tuple("a" if k == 1 else str(k - 1) for k in double_occurrence_word(m))
 
 
 def connected_matching_tags(m: Matching) -> frozenset[Edge]:

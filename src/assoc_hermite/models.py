@@ -32,6 +32,17 @@ from .matchings import (
 from .polynomials import C, Poly, X, rising_factorial
 
 
+# Each cached recurrence below first fills its cache at every _STRIDE-th
+# degree from the bottom up, so a call recurses at most _STRIDE degrees deep
+# whatever its degree, and each degree is still computed once.
+_STRIDE = 32
+
+
+def _fill_below(recurrence, n: int) -> None:
+    for k in range(_STRIDE, n - 1, _STRIDE):
+        recurrence(k)
+
+
 @cache
 def associated_hermite(n: int) -> Poly:
     """H_n(x; c) from the three-term recurrence."""
@@ -39,6 +50,7 @@ def associated_hermite(n: int) -> Poly:
         return Poly.zero()
     if n == 0:
         return Poly.one()
+    _fill_below(associated_hermite, n)
     # H_n = x H_{n-1} - (n - 2 + c) H_{n-2}
     return X * associated_hermite(n - 1) - (C + (n - 2)) * associated_hermite(n - 2)
 
@@ -50,6 +62,7 @@ def usual_hermite(n: int) -> Poly:
         return Poly.zero()
     if n == 0:
         return Poly.one()
+    _fill_below(usual_hermite, n)
     return X * usual_hermite(n - 1) - (n - 1) * usual_hermite(n - 2)
 
 
@@ -118,6 +131,7 @@ def chebyshev_u(n: int) -> Poly:
         return Poly.zero()
     if n == 0:
         return Poly.one()
+    _fill_below(chebyshev_u, n)
     return X * chebyshev_u(n - 1) - chebyshev_u(n - 2)
 
 

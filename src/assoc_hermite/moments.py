@@ -277,33 +277,6 @@ def cycle_count(pi: tuple[int, ...]) -> int:
 # ----- moment generating function as a continued fraction -----
 
 
-def _series_mul(a: list[Poly], b: list[Poly], order: int) -> list[Poly]:
-    out = [Poly.zero() for _ in range(order + 1)]
-    for i, pa in enumerate(a):
-        if pa.is_zero():
-            continue
-        for j, pb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + pa * pb
-    return out
-
-
-def _series_inv_one_minus(g: list[Poly], order: int) -> list[Poly]:
-    """1/(1 - g) for a series g with zero constant term."""
-    if not g[0].is_zero():
-        raise ValueError("series must have zero constant term")
-    out = [Poly.one()] + [Poly.zero()] * order
-    power = [Poly.one()] + [Poly.zero()] * order
-    for _ in range(order):
-        power = _series_mul(power, g, order)
-        if all(p.is_zero() for p in power):
-            break
-        for i in range(order + 1):
-            out[i] = out[i] + power[i]
-    return out
-
-
 def moment_series(depth: int, order: int, shifted: bool = True) -> list[Poly]:
     """Coefficients of t^0 .. t^order of the truncated continued fraction.
 
@@ -317,10 +290,10 @@ def moment_series(depth: int, order: int, shifted: bool = True) -> list[Poly]:
     level = [Poly.one()] + [Poly.zero()] * order
     for j in range(depth, 0, -1):
         b = C + (j if shifted else j - 1)
-        g = [Poly.zero()] * (order + 1)
-        for i, p in enumerate(level):
-            if i + 2 > order:
-                break
-            g[i + 2] = b * p
-        level = _series_inv_one_minus(g, order)
+        g = [Poly.zero(), Poly.zero()] + [b * p for p in level[: order - 1]]
+        # 1/(1 - g) term by term: f_0 = 1 and f_i = sum of g_k f_(i-k), k = 1..i.
+        f = [Poly.one()]
+        for i in range(1, order + 1):
+            f.append(_gf(range(1, i + 1), lambda k: g[k] * f[i - k]))
+        level = f
     return level

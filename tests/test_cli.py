@@ -4,13 +4,18 @@ Each command is driven through main() with capsys so the asserted output
 is exactly what a shell user sees.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from assoc_hermite.cli import main
+from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
+from assoc_hermite.matchings import WeightScheme
 from assoc_hermite.polynomials import C, rising_factorial
 
 
@@ -85,6 +90,21 @@ def test_poly_csv_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "xd,cd,num,den"
     assert len(lines) == 3  # x^2 and -c
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "recurrence", "900"],
+        ["poly", "chebyshev-limit", "451"],
+        ["mixed", "400", "51"],
+    ],
+)
+def test_associated_recurrence_degree_is_capped(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: degree")
 
 
 def test_poly_rejects_unknown_generator(capsys):
@@ -251,3 +271,70 @@ def test_bijection_bad_matching_text(capsys):
     rc, _, err = run(capsys, "bijection", "tailswap", "(1,2)(")
     assert rc == 2
     assert err.startswith("error:")
+
+
+# ----- the exit-code contract over generated command lines -----
+
+# Well-formed and malformed values for each kind of argument; sizes stay small
+# so that every example runs in milliseconds.
+NUMBER = st.integers(-3, 8).map(str) | st.sampled_from(["", "x", "1.5", "+2", " 3", "1e3"])
+MATCHING = st.sampled_from(
+    ["(1,2)", "(1,3)(2,4)", "(1,4)(2,3)", "(1,2)(3,4)", "(1,5)(2,4)(3,8)(6,7)", "(1,3)",
+     "(2,1)", "(1,1)", "(1,2)(2,3)", "(0,1)", "(1,2)(", "1,2", "", "(a,b)", "()"]
+)
+TABLEAU = st.sampled_from(
+    ["-;1;-", "-;1;11;1;-", "-;1;11;1;11;21;2;1;-", "-", "", "-;2;-", "-;1;1;-",
+     "-;;-", "-;1;", "x", "-;11;-", "-;1;11;2;-", "-;1;x;1;-"]
+)
+MAP_JSON = st.sampled_from(
+    ['{"rotation":[1,0],"pairing":[1,0],"root":0}', '{"rotation":[0,1],"pairing":[1,0],"root":0}',
+     '{"rotation":[0]}', "[1,2]", "{", "null", "3", '{"rotation":[],"pairing":[],"root":0}',
+     '{"rotation":[0,1],"pairing":[1,0],"root":5}', '{"rotation":[1,0],"pairing":[1,0],"root":-1}',
+     '{"rotation":[0,0],"pairing":[1,0],"root":0}', '{"rotation":[1,0],"pairing":[0,1],"root":0}',
+     '{"rotation":"ab","pairing":[1,0],"root":0}']
+)
+SIZES = st.lists(st.integers(-1, 4), max_size=4).filter(lambda xs: sum(map(abs, xs)) <= 8).map(
+    lambda xs: ",".join(map(str, xs))
+) | st.sampled_from(["", "3,", "a,b", "1,,2"])
+SCHEME = st.sampled_from([[], ["--scheme", "odd"]] + [["--scheme", s.value] for s in WeightScheme])
+FORMAT = st.sampled_from([[], ["--csv"], ["--json"]])
+CAP = st.sampled_from([[]]) | st.integers(-2, 12).map(lambda n: ["--cap", str(n)])
+SHIFTED = st.sampled_from([[], ["--shifted"]])
+
+
+@st.composite
+def command_lines(draw):
+    """argv for one subcommand other than verify-all; text that may start
+    with "-" goes after the -- separator."""
+    command = draw(st.sampled_from(
+        ["poly", "moments", "orthogonality", "linearize", "mixed", "conjecture", "gf", "bijection"]
+    ))
+    fmt = draw(FORMAT)
+    if command == "poly":
+        return ["poly", draw(st.sampled_from(GENERATORS)), draw(NUMBER), *draw(SHIFTED), *fmt, *draw(CAP)]
+    if command == "moments":
+        return ["moments", "--upto", draw(NUMBER), *draw(SHIFTED), *fmt]
+    if command == "conjecture":
+        return ["conjecture", "--sum-max", draw(NUMBER), *fmt, *draw(CAP)]
+    if command == "gf":
+        return ["gf", *draw(SCHEME), *fmt, *draw(CAP), "--", draw(SIZES)]
+    if command == "bijection":
+        op = draw(st.sampled_from(BIJECTIONS + ("unknown",)))
+        value = draw(MATCHING | TABLEAU | MAP_JSON | st.integers(-2, 2).map(str))
+        return ["bijection", *fmt, "--tags", draw(MATCHING), op, "--", value]
+    return [command, draw(NUMBER), draw(NUMBER), *fmt]
+
+
+def exit_status(argv):
+    """main's return value, or the code of argparse's SystemExit."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_exits_0_1_or_2(argv):
+    assert exit_status(argv) in (0, 1, 2)

@@ -1,4 +1,6 @@
-from math import comb
+import inspect
+import sys
+from math import comb, prod
 
 import pytest
 
@@ -95,6 +97,27 @@ def test_chebyshev_polynomials():
     for n in range(1, 9):
         assert chebyshev_u(n + 1) == X * chebyshev_u(n) - chebyshev_u(n - 1)
         assert chebyshev_u_matchings(n) == chebyshev_u(n)
+
+
+def test_recurrences_past_the_default_recursion_limit():
+    chebyshev_u.cache_clear()
+    usual_hermite.cache_clear()
+    assert chebyshev_u(600).evaluate(2) == 601
+    # H_2k(0) = (-1)^k (2k - 1)!!, counting the perfect matchings on 2k points.
+    assert usual_hermite(520).evaluate(0) == prod(range(1, 520, 2))
+
+
+def test_associated_recurrence_depth_does_not_grow_with_degree():
+    # Degree 80 would recurse about twice as deep as the lowered limit allows
+    # if each degree called the next one down.
+    associated_hermite.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 120)
+    try:
+        h = associated_hermite(80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert h.evaluate(2, 1) == usual_hermite(80).evaluate(2)
 
 
 def test_chebyshev_limit():
