@@ -13,13 +13,7 @@ import csv
 import json
 import sys
 
-from .linearization import (
-    _linearize,
-    conjecture_sweep,
-    inhomogeneous_gf,
-    mixed_coefficient,
-    mixed_residual,
-)
+from .linearization import _linearize, _mix, conjecture_sweep, inhomogeneous_gf
 from .maps import (
     RootedMap,
     connected_matching_tags,
@@ -59,10 +53,13 @@ GENERATORS = (
     "chebyshev-limit",
 )
 
-# H_n(x; c) costs roughly cubic time in n through Fraction arithmetic, so a
-# command that runs its recurrence past this degree is refused, not left to
-# run for many minutes.
+# Commands refuse sizes past these caps instead of running for many minutes.
+# H_n(x; c) costs roughly cubic time in n through Fraction arithmetic,
+# moment(k) enumerates Dyck paths and takes about 11 s at k = 20, and
+# `quadruples` translates every rooted map (8,162 of them at 5 edges).
 _MAX_RECURRENCE_DEGREE = 450
+_MAX_MOMENT_INDEX = 20
+_MAX_MAP_EDGES = 5
 
 BIJECTIONS = (
     "tableau",
@@ -105,12 +102,9 @@ def _cap(args: argparse.Namespace) -> int:
     return cap
 
 
-def _check_recurrence_degree(n: int) -> None:
-    if n > _MAX_RECURRENCE_DEGREE:
-        raise ValueError(
-            f"degree {n} exceeds {_MAX_RECURRENCE_DEGREE}, the largest the "
-            "associated recurrence is run to"
-        )
+def _check_size(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} {value} exceeds {cap}, the largest accepted")
 
 
 def _edge_texts(edges) -> list[str]:
@@ -121,7 +115,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
     cap = _cap(args)
     if args.generator in ("recurrence", "chebyshev-limit"):
-        _check_recurrence_degree(n)
+        _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
     if args.generator == "recurrence":
         p = associated_hermite(n)
     elif args.generator == "matchings":
@@ -148,6 +142,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 def _cmd_moments(args: argparse.Namespace) -> int:
     if args.upto < 0:
         raise ValueError("--upto must be nonnegative")
+    _check_size("moment index", args.upto, _MAX_MOMENT_INDEX)
     table = [moment(k) for k in range(args.upto + 1)]
     if args.shifted:
         table = [p.shift_c() for p in table]
@@ -160,6 +155,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> int:
+    _check_size("moment index n + m =", args.n + args.m, _MAX_MOMENT_INDEX)
     value = inner_product(args.n, args.m)
     expected = rising_factorial(C, args.n) if args.n == args.m else Poly.zero()
     _emit_json(
@@ -176,6 +172,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
+    _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
     coefficients, lhs, rhs = _linearize(n, m)
     if args.csv:
         rows = [row for j, p in enumerate(coefficients) for row in _poly_rows(p, [j])]
@@ -199,11 +196,9 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 def _cmd_mixed(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    _check_recurrence_degree(n + m)
-    bound = min(m, (n + m) // 2)
-    coefficients = [mixed_coefficient(n, m, k) for k in range(bound + 1)]
-    lhs = associated_hermite(n) * usual_hermite(m)
-    residual = mixed_residual(n, m)
+    _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
+    coefficients, lhs, rhs = _mix(n, m)
+    residual = lhs - rhs
     _emit_json(
         {
             "n": n,
@@ -214,7 +209,7 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
                 for k, p in enumerate(coefficients)
             ],
             "lhs": lhs.to_json_obj(),
-            "rhs": (lhs - residual).to_json_obj(),
+            "rhs": rhs.to_json_obj(),
             "residual": residual.to_json_obj(),
             "match": residual.is_zero(),
         }
@@ -304,6 +299,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             edge_count = int(args.value)
         except ValueError:
             raise ValueError(f"quadruples needs an edge count, got {args.value!r}")
+        _check_size("edge count", edge_count, _MAX_MAP_EDGES)
         out = []
         for rm in enumerate_rooted_maps(edge_count):
             cm = map_to_connected_matching(rm)

@@ -106,17 +106,25 @@ def mixed_coefficient(n: int, m: int, k: int) -> Poly:
     return binomial_poly(C + (n - 1), k) * (math.comb(m, k) * math.factorial(k))
 
 
+def _mix(n: int, m: int) -> tuple[list[Poly], Poly, Poly]:
+    """The coefficients for k = 0..min(m, (n+m)//2), H_n(x;c) H_m(x), and
+    their expansion."""
+    coefficients = [mixed_coefficient(n, m, k) for k in range(min(m, (n + m) // 2) + 1)]
+    lhs = associated_hermite(n) * usual_hermite(m)
+    rhs = _gf(
+        range(len(coefficients)),
+        lambda k: coefficients[k] * associated_hermite(n + m - 2 * k),
+    )
+    return coefficients, lhs, rhs
+
+
 def mixed_residual(n: int, m: int) -> Poly:
     """H_n(x;c) H_m(x) minus its claimed expansion; zero when n >= m-1.
 
     For n < m-1 this is a diagnostic: the returned polynomial is what the
     expansion misses.
     """
-    lhs = associated_hermite(n) * usual_hermite(m)
-    rhs = _gf(
-        range(min(m, (n + m) // 2) + 1),
-        lambda k: mixed_coefficient(n, m, k) * associated_hermite(n + m - 2 * k),
-    )
+    _, lhs, rhs = _mix(n, m)
     return lhs - rhs
 
 

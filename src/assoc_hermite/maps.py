@@ -15,28 +15,29 @@ of a distinguished edge through the crossings it is involved in.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from .matchings import Edge, Matching, _edge_relations, is_connected, nonnested_edges
+from .moments import cycle_count
 from .polynomials import Poly
 
 
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            cycle.append(h)
-            h = perm[h]
-        out.append(tuple(cycle))
-    return out
+def _discovery_order(
+    rotation: tuple[int, ...], pairing: tuple[int, ...], root: int
+) -> list[int]:
+    """The darts reachable from root, in breadth-first discovery order.
+
+    The neighbours of a dart are its rotation successor, then its partner.
+    """
+    order = [root]
+    seen = {root}
+    for h in order:
+        for nxt in (rotation[h], pairing[h]):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,7 @@ class RootedMap:
             return
         if self.root is None or not (0 <= self.root < n):
             raise ValueError("root must be a dart")
-        reached = {self.root}
-        stack = [self.root]
-        while stack:
-            h = stack.pop()
-            for nxt in (self.rotation[h], self.pairing[h]):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        if len(reached) != n:
+        if len(_discovery_order(self.rotation, self.pairing, self.root)) != n:
             raise ValueError("map is not connected")
 
     @property
@@ -85,7 +78,7 @@ class RootedMap:
     def vertex_count(self) -> int:
         if not self.rotation:
             return 1
-        return len(_cycles(self.rotation))
+        return cycle_count(tuple(h + 1 for h in self.rotation))
 
     def weight(self) -> Poly:
         return Poly.monomial(0, self.vertex_count - 1)
@@ -98,24 +91,11 @@ class RootedMap:
         """
         if not self.rotation:
             return self
-        order = []
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            h = queue.popleft()
-            order.append(h)
-            for nxt in (self.rotation[h], self.pairing[h]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        order = _discovery_order(self.rotation, self.pairing, self.root)
         relabel = {old: new for new, old in enumerate(order)}
-        n = len(self.rotation)
-        rot = [0] * n
-        pair = [0] * n
-        for old, new in relabel.items():
-            rot[new] = relabel[self.rotation[old]]
-            pair[new] = relabel[self.pairing[old]]
-        return RootedMap(tuple(rot), tuple(pair), 0)
+        rot = tuple(relabel[self.rotation[old]] for old in order)
+        pair = tuple(relabel[self.pairing[old]] for old in order)
+        return RootedMap(rot, pair, 0)
 
     def to_json_obj(self) -> dict:
         return {
@@ -138,53 +118,14 @@ class RootedMap:
         return cls(tuple(obj["rotation"]), tuple(obj["pairing"]), obj["root"])
 
 
-def _fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(assigned: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        free = [h for h in range(n) if h not in assigned]
-        if not free:
-            yield tuple(assigned[h] for h in range(n))
-            return
-        a = free[0]
-        for b in free[1:]:
-            assigned[a] = b
-            assigned[b] = a
-            yield from rec(assigned)
-            del assigned[a], assigned[b]
-
-    yield from rec({})
-
-
-def _discovery_is_identity(rotation: tuple[int, ...], pairing: tuple[int, ...]) -> bool:
-    """Whether BFS from dart 0 discovers darts in the order 0, 1, 2, ...
-
-    Exactly one representative of each rooted-map isomorphism class passes,
-    and passing implies connectivity.
-    """
-    n = len(rotation)
-    seen = bytearray(n)
-    seen[0] = 1
-    expect = 1
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        h = queue[qi]
-        qi += 1
-        for nxt in (rotation[h], pairing[h]):
-            if not seen[nxt]:
-                if nxt != expect:
-                    return False
-                seen[nxt] = 1
-                expect += 1
-                queue.append(nxt)
-    return expect == n
-
-
 def enumerate_rooted_maps(edge_count: int) -> Iterator[RootedMap]:
     """All rooted maps with the given number of edges, once each.
 
-    Brute force over rotation and pairing pairs, kept when already in
-    canonical labeling.  Feasible for small edge counts only; the pair
-    count grows as (2E)! (2E-1)!!.
+    Each map is built directly in its canonical labelling, in which darts
+    are numbered in breadth-first discovery order from root 0.  Dart h is
+    given its rotation successor and then its partner; each is either a
+    dart discovered already or the next undiscovered one.  Maps are yielded
+    sorted by (pairing, rotation).
     """
     if edge_count < 0:
         raise ValueError("edge count must be nonnegative")
@@ -192,10 +133,37 @@ def enumerate_rooted_maps(edge_count: int) -> Iterator[RootedMap]:
         yield RootedMap((), (), None)
         return
     n = 2 * edge_count
-    for pairing in _fpf_involutions(n):
-        for rotation in itertools.permutations(range(n)):
-            if _discovery_is_identity(rotation, pairing):
-                yield RootedMap(rotation, pairing, 0)
+    rotation = [0] * n
+    pairing = [-1] * n
+    is_image = [False] * n
+    found = []
+
+    def grow(h: int, discovered: int) -> None:
+        # Darts below h are done and darts below `discovered` are reached.
+        if h == n:
+            found.append((tuple(pairing), tuple(rotation)))
+            return
+        if h == discovered:
+            return  # the darts reached so far close up without the rest
+        for r in range(min(discovered + 1, n)):
+            if is_image[r]:
+                continue
+            rotation[h] = r
+            is_image[r] = True
+            reached = max(discovered, r + 1)
+            if pairing[h] >= 0:
+                grow(h + 1, reached)
+            else:
+                for p in range(h + 1, min(reached + 1, n)):
+                    if pairing[p] < 0:
+                        pairing[h], pairing[p] = p, h
+                        grow(h + 1, max(reached, p + 1))
+                        pairing[h] = pairing[p] = -1
+            is_image[r] = False
+
+    grow(0, 1)
+    for pair, rot in sorted(found):
+        yield RootedMap(rot, pair, 0)
 
 
 def map_to_connected_matching(rm: RootedMap) -> Matching:

@@ -6,9 +6,9 @@ model in the package:
 
 - `_pairings` is the one pairing kernel.  The smallest unmatched vertex is
   joined to each larger available vertex with a different label, in
-  increasing order (with the fixed-point branch first for partial
-  matchings), so enumeration is deterministic and repeated runs stream
-  identical sequences.
+  increasing order (with the fixed-point branch first for a vertex that
+  may stay unpaired), so enumeration is deterministic and repeated runs
+  stream identical sequences.
 - `_edge_relations` is the one edge-relation pass: nested, crossed from the
   left or right, and nesting an edge or fixed point, for all edges at once.
 - `_gf` is the one fold that sums weights into a polynomial.
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .polynomials import Poly
 
@@ -209,24 +209,24 @@ def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
 def _pairings(
     vertices: tuple[int, ...],
     label: Sequence[int] | None = None,
-    partial: bool = False,
+    free: Container[int] = (),
 ) -> Iterator[tuple[Edge, ...]]:
     """Edge tuples pairing the vertices, in the order the module promises.
 
     Two vertices pair only when their labels differ (any two, without
-    labels).  With partial, vertices may stay unpaired.
+    labels).  The vertices in free may stay unpaired.
     """
     if not vertices:
         yield ()
         return
     v, rest = vertices[0], vertices[1:]
-    if partial:
-        yield from _pairings(rest, label, partial)
+    if v in free:
+        yield from _pairings(rest, label, free)
     own = None if label is None else label[v]
     for i, w in enumerate(rest):
         if own is not None and label[w] == own:
             continue
-        for tail in _pairings(rest[:i] + rest[i + 1:], label, partial):
+        for tail in _pairings(rest[:i] + rest[i + 1:], label, free):
             yield ((v, w),) + tail
 
 
@@ -242,7 +242,8 @@ def enumerate_complete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
 def enumerate_incomplete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     """All partial matchings on {1, ..., n} (fixed points allowed)."""
     _check_cap(n, cap)
-    for edges in _pairings(tuple(range(1, n + 1)), partial=True):
+    vertices = range(1, n + 1)
+    for edges in _pairings(tuple(vertices), free=vertices):
         yield Matching(n, edges)
 
 

@@ -91,12 +91,10 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
     rest = tuple(range(2, total + 1))
     for t in rest:
         others = tuple(v for v in rest if v != t)
-        for sub in _pairings(others, partial=True):
-            fixed = set(others) - {v for e in sub for v in e}
-            if any(v > t for v in fixed):
-                continue
-            if any(a > t for a, _ in sub):
-                continue
+        # Vertices beyond t share a label, so no two of them pair, and only
+        # vertices under the marker may stay unpaired.
+        label = [min(v, t) for v in range(total + 1)]
+        for sub in _pairings(others, label, free=range(2, t)):
             yield Matching(total, sub + ((1, t),))
 
 

@@ -740,7 +740,7 @@ def suite_moment_sequence() -> RunReport:
 
 
 def suite_maps_extended() -> RunReport:
-    """The four-edge rooted-map census; slow, so not part of the desk level."""
+    """The four-edge rooted-map census, the one suite of the extended level."""
 
     def body(rec: _Recorder) -> None:
         maps = list(enumerate_rooted_maps(4))

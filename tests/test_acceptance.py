@@ -7,9 +7,9 @@ numeric or approximate.
 Each identity is checked in one place: the `verify-all` suites of
 `assoc_hermite.verification`.  The module runs `verify-all --level desk`
 once, in process, and each criterion asserts that its suite reported no
-failures, plus the few checks no suite or unit test makes.  The one
-genuinely large check (four-edge rooted maps) only runs when
-ASSOC_HERMITE_EXTENDED=1 is set.
+failures, plus the few checks no suite or unit test makes.  The
+four-edge rooted-map census, the one suite of the extended level, runs on
+its own.
 
 Criterion 10 fails by design.  The claim it tests, that the weakly
 increasing block arrangement always reproduces the product functional
@@ -21,7 +21,6 @@ of being silently weakened.
 
 import io
 import json
-import os
 from contextlib import contextmanager, redirect_stdout
 from functools import cache
 from itertools import permutations
@@ -31,7 +30,6 @@ import pytest
 
 from assoc_hermite.cli import main
 from assoc_hermite.linearization import conjecture_sweep
-from assoc_hermite.maps import enumerate_rooted_maps
 from assoc_hermite.moments import (
     PairedMatching,
     enumerate_paired,
@@ -43,6 +41,7 @@ from assoc_hermite.moments import (
     paired_weight,
 )
 from assoc_hermite.polynomials import C, Poly, rising_factorial
+from assoc_hermite.verification import suite_maps_extended
 
 # Suites of the desk level in run order, with the number of cases each checks.
 DESK_CASES = [
@@ -164,16 +163,10 @@ def test_criterion_08_bijections():
         assert_suite_clean("bijections")
 
 
-@pytest.mark.skipif(
-    os.environ.get("ASSOC_HERMITE_EXTENDED") != "1",
-    reason="four-edge map sweep only runs with ASSOC_HERMITE_EXTENDED=1",
-)
 def test_criterion_08_extended_maps():
     with criterion(8, "extended: four-edge rooted maps"):
-        maps = list(enumerate_rooted_maps(4))
-        assert len(maps) == 706
-        gf = sum((rm.weight() for rm in maps), Poly.zero())
-        assert gf == moment(8).shift_c()
+        report = suite_maps_extended()
+        assert (report.cases, report.failures) == (2, [])
 
 
 def test_criterion_09_chebyshev_limit():

@@ -16,7 +16,7 @@ from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
 from assoc_hermite.matchings import WeightScheme
-from assoc_hermite.polynomials import C, rising_factorial
+from assoc_hermite.polynomials import C, Poly, rising_factorial
 
 
 def run(capsys, *argv):
@@ -105,6 +105,34 @@ def test_associated_recurrence_degree_is_capped(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: degree")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--upto", "21"],
+        ["moments", "--upto", "40"],
+        ["orthogonality", "11", "10"],
+        ["orthogonality", "30", "30"],
+        ["linearize", "226", "225"],
+        ["linearize", "300", "300"],
+        ["bijection", "quadruples", "6"],
+    ],
+)
+def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds" in err
+
+
+def test_bijection_quadruples_largest_accepted(capsys):
+    rc, out, _ = run(capsys, "bijection", "quadruples", "5")
+    assert rc == 0
+    docs = json.loads(out)
+    assert len(docs) == 8162
+    weights = (Poly.from_json_obj(doc["weight"]) for doc in docs)
+    assert sum(weights, Poly.zero()) == moment(10).shift_c()
 
 
 def test_poly_rejects_unknown_generator(capsys):

@@ -1,6 +1,6 @@
 """Tests for rooted one-vertex-marked maps and the tail swap bijection."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,13 +15,13 @@ from assoc_hermite.maps import (
     tail_swap,
     tail_swap_inverse,
 )
-from assoc_hermite.matchings import Matching, enumerate_complete, is_connected
+from assoc_hermite.matchings import Matching, _pairings, enumerate_complete, is_connected
 from assoc_hermite.moments import moment
 from assoc_hermite.polynomials import Poly
 
-# Connected complete matchings on 2E + 2 vertices, equivalently rooted
-# maps with E edges.
-MAP_COUNTS = [1, 2, 10, 74]
+# Rooted maps with E edges (Walsh and Lehman), equivalently connected
+# complete matchings on 2E + 2 vertices.
+MAP_COUNTS = [1, 2, 10, 74, 706, 8162]
 
 WORKED = RootedMap(
     rotation=(1, 2, 0, 4, 5, 6, 7, 8, 3, 9),
@@ -40,13 +40,40 @@ def eligible_tags(m: Matching) -> list[tuple[int, int]]:
     return out
 
 
+def brute_force_rooted_maps(edge_count: int) -> list[RootedMap]:
+    """Every (pairing, rotation) pair on 2E darts whose breadth-first
+    discovery order from dart 0 is 0, 1, 2, ..., in lexicographic order."""
+    if edge_count == 0:
+        return [RootedMap((), (), None)]
+    n = 2 * edge_count
+    out = []
+    for edges in _pairings(tuple(range(n))):
+        pairing = [0] * n
+        for a, b in edges:
+            pairing[a], pairing[b] = b, a
+        for rotation in permutations(range(n)):
+            order = [0]
+            for h in order:
+                for nxt in (rotation[h], pairing[h]):
+                    if nxt not in order:
+                        order.append(nxt)
+            if order == list(range(n)):
+                out.append(RootedMap(rotation, tuple(pairing), 0))
+    return out
+
+
+def test_rooted_maps_match_brute_force():
+    for edges in range(4):
+        assert list(enumerate_rooted_maps(edges)) == brute_force_rooted_maps(edges)
+
+
 def test_map_counts():
     for edges, expected in enumerate(MAP_COUNTS):
         assert sum(1 for _ in enumerate_rooted_maps(edges)) == expected
 
 
 def test_map_counts_match_connected_matchings():
-    for edges, expected in enumerate(MAP_COUNTS):
+    for edges, expected in enumerate(MAP_COUNTS[:5]):
         n = 2 * edges + 2
         conn = [m for m in enumerate_complete(n) if is_connected(m)]
         assert len(conn) == expected
@@ -55,7 +82,7 @@ def test_map_counts_match_connected_matchings():
 
 
 def test_generating_function_is_shifted_moment():
-    for edges in range(4):
+    for edges in range(5):
         gf = sum((rm.weight() for rm in enumerate_rooted_maps(edges)), Poly.zero())
         assert gf == moment(2 * edges).shift_c()
 

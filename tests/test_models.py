@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from assoc_hermite.matchings import Matching
+from assoc_hermite.matchings import Matching, _pairings
 from assoc_hermite.models import (
     anchored_config_gf,
     anchored_config_slots,
@@ -68,6 +68,27 @@ def test_matchings_model_matches_recurrence(n):
 @pytest.mark.parametrize("n", range(8))
 def test_marker_edge_model_is_the_shifted_polynomial(n):
     assert marker_edge_model(n) == associated_hermite(n).shift_c()
+
+
+def filtered_marker_edge_matchings(n: int) -> list[Matching]:
+    """Every partial matching of the vertices other than 1 and t, kept when
+    no fixed point and no edge start lies beyond t, joined by the marker
+    edge (1, t)."""
+    total = n + 2
+    out = []
+    for t in range(2, total + 1):
+        others = tuple(v for v in range(2, total + 1) if v != t)
+        for sub in _pairings(others, free=others):
+            fixed = set(others) - {v for e in sub for v in e}
+            if any(v > t for v in fixed) or any(a > t for a, _ in sub):
+                continue
+            out.append(Matching(total, sub + ((1, t),)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_marker_edge_enumeration_matches_filter(n):
+    assert list(enumerate_marker_edge_matchings(n)) == filtered_marker_edge_matchings(n)
 
 
 def test_marker_edge_enumeration_order_is_pinned():
