@@ -102,6 +102,12 @@ def _cap(args: argparse.Namespace) -> int:
     return cap
 
 
+def _check_nonnegative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _check_size(what: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{what} {value} exceeds {cap}, the largest accepted")
@@ -113,6 +119,7 @@ def _edge_texts(edges) -> list[str]:
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
+    _check_nonnegative(degree=n)
     cap = _cap(args)
     if args.generator in ("recurrence", "chebyshev-limit"):
         _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
@@ -155,6 +162,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> int:
+    _check_nonnegative(n=args.n, m=args.m)
     _check_size("moment index n + m =", args.n + args.m, _MAX_MOMENT_INDEX)
     value = inner_product(args.n, args.m)
     expected = rising_factorial(C, args.n) if args.n == args.m else Poly.zero()
@@ -172,6 +180,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
+    _check_nonnegative(n=n, m=m)
     _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
     coefficients, lhs, rhs = _linearize(n, m)
     if args.csv:
@@ -196,6 +205,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 def _cmd_mixed(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
+    _check_nonnegative(n=n, m=m)
     _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
     coefficients, lhs, rhs = _mix(n, m)
     residual = lhs - rhs

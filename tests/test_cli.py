@@ -126,6 +126,25 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
     assert err.startswith("error: ") and "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orthogonality", "-5", "3"],
+        ["orthogonality", "3", "-1"],
+        ["linearize", "-1", "2"],
+        ["linearize", "2", "-1"],
+        ["mixed", "-3", "2"],
+        ["mixed", "3", "-2"],
+        *(["poly", generator, "-1"] for generator in GENERATORS),
+    ],
+)
+def test_negative_degrees_are_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be nonnegative" in err
+
+
 def test_bijection_quadruples_largest_accepted(capsys):
     rc, out, _ = run(capsys, "bijection", "quadruples", "5")
     assert rc == 0
@@ -160,6 +179,27 @@ def test_gf_bad_sizes(capsys):
     rc, _, err = run(capsys, "gf", "2,x")
     assert rc == 2
     assert "comma-separated" in err
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("-2,4", "block sizes must be nonnegative"),
+        ("-2,20", "block sizes must be nonnegative"),
+        ("9,9", "n=18 exceeds the enumeration cap 16"),
+    ],
+)
+def test_gf_refuses_negative_sizes_and_totals_past_the_cap(capsys, sizes, message):
+    rc, out, err = run(capsys, "gf", "--", sizes)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def test_gf_odd_total_is_zero(capsys):
+    rc, out, _ = run(capsys, "gf", "3,4")
+    assert rc == 0
+    assert json.loads(out)["value"] == []
 
 
 def test_orthogonality(capsys):

@@ -1,13 +1,16 @@
 """Tests for linearization coefficients and the block-matching comparison."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assoc_hermite.linearization import (
     ConjectureReport,
+    _histories,
     conjecture_check,
     conjecture_sweep,
     inhomogeneous_gf,
@@ -19,7 +22,13 @@ from assoc_hermite.linearization import (
     verify_linearization,
     verify_mixed,
 )
-from assoc_hermite.matchings import WeightScheme
+from assoc_hermite.matchings import (
+    Blocks,
+    WeightScheme,
+    _gf,
+    enumerate_inhomogeneous,
+    weight,
+)
 from assoc_hermite.models import associated_hermite, usual_hermite
 from assoc_hermite.polynomials import C, Poly, rising_factorial_value
 
@@ -145,6 +154,51 @@ def test_published_334_values():
             inhomogeneous_gf(sizes, WeightScheme.MOMENT_NONNESTED)
             == 3 * C * (C + 1) * (C + 2) ** 2 * (C + 3)
         )
+
+
+def enumerated_gf(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
+    """The block-matching sum by enumeration: the reference for _histories."""
+    return _gf(enumerate_inhomogeneous(Blocks(sizes)), lambda m: weight(m, scheme))
+
+
+# Every arrangement of at most five blocks, empty blocks included, with an
+# even total of at most 8.
+SMALL_ARRANGEMENTS = [
+    sizes
+    for blocks in range(6)
+    for sizes in product(range(9), repeat=blocks)
+    if sum(sizes) % 2 == 0 and sum(sizes) <= 8
+]
+
+
+def test_histories_match_enumeration_on_small_arrangements():
+    assert len(SMALL_ARRANGEMENTS) * len(WeightScheme) == 6060
+    for sizes in SMALL_ARRANGEMENTS:
+        for scheme in WeightScheme:
+            assert _histories(sizes, scheme) == enumerated_gf(sizes, scheme), (sizes, scheme)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), max_size=6)
+    .filter(lambda sizes: sum(sizes) % 2 == 0 and sum(sizes) <= 12)
+    .map(tuple),
+    st.sampled_from(list(WeightScheme)),
+)
+def test_histories_match_enumeration(sizes, scheme):
+    assert _histories(sizes, scheme) == enumerated_gf(sizes, scheme)
+
+
+def test_inhomogeneous_gf_error_contract():
+    scheme = WeightScheme.MOMENT_NONNESTED
+    # An odd total is zero before the sizes are validated...
+    assert inhomogeneous_gf((-1, 2), scheme).is_zero()
+    # ...and negative sizes are refused before the cap is applied.
+    with pytest.raises(ValueError, match="block sizes must be nonnegative"):
+        inhomogeneous_gf((-2, 20), scheme)
+    with pytest.raises(ValueError, match="n=18 exceeds the enumeration cap 16"):
+        inhomogeneous_gf((9, 9), scheme)
+    assert inhomogeneous_gf((9, 9), scheme, cap=18).evaluate(c_value=1) == factorial(9)
 
 
 def test_conjecture_check_rejects_bad_sizes():
