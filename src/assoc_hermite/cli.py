@@ -89,19 +89,6 @@ def _poly_rows(p: Poly, prefix: list | None = None) -> list[list]:
     ]
 
 
-def _cap(args: argparse.Namespace) -> int:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        return DEFAULT_CAP
-    if cap > DEFAULT_CAP:
-        print(
-            f"warning: cap {cap} exceeds the default {DEFAULT_CAP}; "
-            "enumeration time grows faster than exponentially",
-            file=sys.stderr,
-        )
-    return cap
-
-
 def _check_nonnegative(**values: int) -> None:
     for name, value in values.items():
         if value < 0:
@@ -120,7 +107,13 @@ def _edge_texts(edges) -> list[str]:
 def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
     _check_nonnegative(degree=n)
-    cap = _cap(args)
+    cap = args.cap
+    if args.generator in ("matchings", "marker-edge") and cap > DEFAULT_CAP:
+        print(
+            f"warning: cap {cap} exceeds the default {DEFAULT_CAP}; "
+            "enumeration time grows faster than exponentially",
+            file=sys.stderr,
+        )
     if args.generator in ("recurrence", "chebyshev-limit"):
         _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
     if args.generator == "recurrence":
@@ -230,7 +223,7 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.sum_max < 1:
         raise ValueError("--sum-max must be positive")
-    reports = list(conjecture_sweep(args.sum_max, cap=_cap(args)))
+    reports = list(conjecture_sweep(args.sum_max, cap=args.cap))
     if args.csv:
         rows = [
             [",".join(str(s) for s in r.sizes), r.match, str(r.lhs), str(r.rhs)]
@@ -258,7 +251,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"sizes must be comma-separated integers, got {args.sizes!r}")
     scheme = WeightScheme(args.scheme)
-    value = inhomogeneous_gf(sizes, scheme, cap=_cap(args))
+    value = inhomogeneous_gf(sizes, scheme, cap=args.cap)
     if args.csv:
         _emit_csv(["xd", "cd", "num", "den"], _poly_rows(value))
     else:
@@ -331,6 +324,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     reports = run_all(args.level)
+    if args.timings:
+        for r in reports:
+            print(json.dumps(r.to_json_obj(with_timing=True), sort_keys=True), file=sys.stderr)
     if args.csv:
         _emit_csv(
             ["suite", "cases", "failures"],
@@ -348,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--csv", action="store_true", help="CSV output")
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument(
-        "--cap", type=int, default=None, metavar="N",
+        "--cap", type=int, default=DEFAULT_CAP, metavar="N",
         help=f"enumeration size cap (default {DEFAULT_CAP})",
     )
 
@@ -408,6 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", parents=[fmt], help="run the verification suites")
     p.add_argument("--level", choices=("desk", "extended"), default="desk")
+    p.add_argument(
+        "--timings", action="store_true",
+        help="also write each suite's report with its seconds to standard error",
+    )
     p.set_defaults(handler=_cmd_verify_all)
 
     return parser

@@ -14,11 +14,12 @@ of a distinguished edge through the crossings it is involved in.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matchings import Edge, Matching, _edge_relations, is_connected, nonnested_edges
+from .matchings import (
+    Edge, Matching, _edge_relations, _relation_masks, is_connected, nonnested_edges,
+)
 from .moments import cycle_count
 from .polynomials import Poly
 
@@ -242,13 +243,7 @@ def connected_matching_weight(m: Matching) -> Poly:
 
 
 def _crossing_count(edges: list[Edge]) -> int:
-    return sum(
-        1
-        for e, f in itertools.combinations(edges, 2)
-        for a, b in [min(e, f)]
-        for a2, b2 in [max(e, f)]
-        if a < a2 < b < b2
-    )
+    return sum(mask.bit_count() for mask in _relation_masks(sorted(edges))[2])
 
 
 def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:

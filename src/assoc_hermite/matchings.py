@@ -9,9 +9,14 @@ model in the package:
   increasing order (with the fixed-point branch first for a vertex that
   may stay unpaired), so enumeration is deterministic and repeated runs
   stream identical sequences.
-- `_edge_relations` is the one edge-relation pass: nested, crossed from the
-  left or right, and nesting an edge or fixed point, for all edges at once.
+- `_relation_masks` is the one edge-relation sweep: bitmasks of the edges
+  each edge nests and of those crossing it from the left or right.
+  `_edge_relations` reads them as flags; the weights of coloured matchings
+  read them through a colour mask.
 - `_gf` is the one fold that sums weights into a polynomial.
+
+Enumerators build their results through `_trusted`, without the public
+constructors' validation.
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ from .polynomials import Poly
 Edge = tuple[int, int]
 
 DEFAULT_CAP = 16
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without running __post_init__; only for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -120,35 +133,45 @@ MOMENT_SCHEMES = (
 )
 
 
-def _edge_relations(m: Matching) -> dict[Edge, EdgeStats]:
-    """Nesting and crossing relations of every edge of m, in edge order.
+def _relation_masks(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[int]]:
+    """Bitmasks over edge indices: the edges that edge i nests, and those
+    crossing it from the left and from the right.
 
-    Edges are sorted by left endpoint, so a later edge that starts beyond
-    the right end of an earlier one is disjoint from it, and so is every
-    edge after that.  Nested fixed points are counted by a prefix sum.
-    """
-    edges = m.edges
+    The edges are disjoint and sorted by left endpoint, so a later edge that
+    starts beyond the right end of an earlier one is disjoint from it, and
+    so is every edge after that."""
     k = len(edges)
-    matched = bytearray(m.n + 1)
-    for a, b in edges:
-        matched[a] = matched[b] = 1
-    free_upto = list(accumulate(1 - x for x in matched))
-    nested = [False] * k
-    left = [False] * k
-    right = [False] * k
-    nests = [free_upto[b] > free_upto[a] for a, b in edges]
+    nests = [0] * k
+    left = [0] * k
+    right = [0] * k
     for i, (a, b) in enumerate(edges):
         for j in range(i + 1, k):
             a2, b2 = edges[j]
             if a2 > b:
                 break
             if b2 < b:
-                nested[j] = nests[i] = True
+                nests[i] |= 1 << j
             else:
-                right[i] = left[j] = True
+                right[i] |= 1 << j
+                left[j] |= 1 << i
+    return nests, left, right
+
+
+def _edge_relations(m: Matching) -> dict[Edge, EdgeStats]:
+    """Nesting and crossing relations of every edge of m, in edge order;
+    nested fixed points are counted by a prefix sum."""
+    matched = bytearray(m.n + 1)
+    for a, b in m.edges:
+        matched[a] = matched[b] = 1
+    free_upto = list(accumulate(1 - x for x in matched))
+    nests, left, right = _relation_masks(m.edges)
+    nested = 0
+    for mask in nests:
+        nested |= mask
     return {
-        e: EdgeStats(nested[i], left[i], right[i], nests[i])
-        for i, e in enumerate(edges)
+        e: EdgeStats(bool(nested >> i & 1), bool(left[i]), bool(right[i]),
+                     bool(nests[i]) or free_upto[e[1]] > free_upto[e[0]])
+        for i, e in enumerate(m.edges)
     }
 
 
@@ -203,7 +226,7 @@ def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
     for obj in objects:
         for key, q in weigh(obj).terms.items():
             acc[key] = acc.get(key, 0) + q
-    return Poly(acc)
+    return Poly._raw({key: q for key, q in acc.items() if q})
 
 
 def _pairings(
@@ -236,7 +259,7 @@ def enumerate_complete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     if n % 2:
         raise ValueError("complete matchings need an even vertex count")
     for edges in _pairings(tuple(range(1, n + 1))):
-        yield Matching(n, edges)
+        yield _trusted(Matching, n=n, edges=edges)
 
 
 def enumerate_incomplete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
@@ -244,7 +267,7 @@ def enumerate_incomplete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     _check_cap(n, cap)
     vertices = range(1, n + 1)
     for edges in _pairings(tuple(vertices), free=vertices):
-        yield Matching(n, edges)
+        yield _trusted(Matching, n=n, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -281,7 +304,7 @@ def enumerate_inhomogeneous(blocks: Blocks, cap: int = DEFAULT_CAP) -> Iterator[
         raise ValueError("inhomogeneous matchings need an even vertex total")
     block_of = [0] + [i for i, s in enumerate(blocks.sizes) for _ in range(s)]
     for edges in _pairings(tuple(range(1, n + 1)), block_of):
-        yield Matching(n, edges)
+        yield _trusted(Matching, n=n, edges=edges)
 
 
 def reverse(m: Matching) -> Matching:

@@ -24,6 +24,8 @@ from .matchings import (
     _edge_relations,
     _gf,
     _pairings,
+    _relation_masks,
+    _trusted,
     enumerate_incomplete,
     enumerate_inhomogeneous,
     nonnested_edges,
@@ -95,7 +97,7 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
         # vertices under the marker may stay unpaired.
         label = [min(v, t) for v in range(total + 1)]
         for sub in _pairings(others, label, free=range(2, t)):
-            yield Matching(total, sub + ((1, t),))
+            yield _trusted(Matching, n=total, edges=((1, t),) + sub)
 
 
 def marker_edge_model(n: int, cap: int = DEFAULT_CAP) -> Poly:
@@ -207,13 +209,9 @@ def _special_edges(m: Matching) -> frozenset[Edge]:
 def _is_anchored(m: Matching, special: frozenset[Edge]) -> bool:
     if special != _special_edges(m):
         return False
-    for e in m.edges:
-        if e in special:
-            continue
-        a, b = e
-        if not any(a2 < a < b2 < b for a2, b2 in special):
-            return False
-    return True
+    left = _relation_masks(m.edges)[1]
+    special_mask = sum(1 << i for i, e in enumerate(m.edges) if e in special)
+    return all(left[i] & special_mask for i, e in enumerate(m.edges) if e not in special)
 
 
 def enumerate_anchored_configs(k: int, cap: int = DEFAULT_CAP) -> Iterator[AnchoredConfig]:

@@ -10,14 +10,17 @@ matchings and a sign-reversing involution on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .matchings import DEFAULT_CAP, Edge, WeightScheme, _gf, weight
+from .matchings import DEFAULT_CAP, Edge, WeightScheme, _gf, _relation_masks, _trusted, weight
 from .models import associated_hermite
 from .polynomials import C, Poly, rising_factorial
 
 DyckPath = tuple[int, ...]
+
+_SIGNS = (Fraction(1), Fraction(-1))
 
 
 def enumerate_dyck_paths(length: int) -> Iterator[DyckPath]:
@@ -127,17 +130,19 @@ class PairedMatching:
         return tuple(sorted(self.black + self.green))
 
     def recolored(self, e: Edge) -> "PairedMatching":
+        """The same matching with e in the other colour; e must be homogeneous
+        to turn black."""
         if e in self.black:
-            return PairedMatching(
-                self.n, self.m,
-                tuple(x for x in self.black if x != e), self.green + (e,),
-            )
-        if e in self.green:
-            return PairedMatching(
-                self.n, self.m,
-                self.black + (e,), tuple(x for x in self.green if x != e),
-            )
-        raise ValueError(f"edge {e!r} not present")
+            black = tuple(x for x in self.black if x != e)
+            green = tuple(sorted(self.green + (e,)))
+        elif e in self.green:
+            if not self.is_homogeneous(e):
+                raise ValueError(f"black edge {e!r} crosses the row boundary")
+            black = tuple(sorted(self.black + (e,)))
+            green = tuple(x for x in self.green if x != e)
+        else:
+            raise ValueError(f"edge {e!r} not present")
+        return _trusted(PairedMatching, n=self.n, m=self.m, black=black, green=green)
 
 
 def enumerate_paired(n: int, m: int, cap: int = DEFAULT_CAP) -> Iterator[PairedMatching]:
@@ -156,13 +161,10 @@ def enumerate_paired(n: int, m: int, cap: int = DEFAULT_CAP) -> Iterator[PairedM
     for matching in enumerate_complete(total, cap=cap):
         edges = matching.edges
         homogeneous = [e for e in edges if (e[1] <= n) or (e[0] > n)]
-        inhomogeneous = tuple(e for e in edges if e not in homogeneous)
         for mask in range(1 << len(homogeneous)):
             black = tuple(e for i, e in enumerate(homogeneous) if mask >> i & 1)
-            green = inhomogeneous + tuple(
-                e for i, e in enumerate(homogeneous) if not mask >> i & 1
-            )
-            yield PairedMatching(n, m, black, green)
+            green = tuple(e for e in edges if e not in black)
+            yield _trusted(PairedMatching, n=n, m=m, black=black, green=green)
 
 
 def paired_weight(pm: PairedMatching) -> Poly:
@@ -173,23 +175,16 @@ def paired_weight(pm: PairedMatching) -> Poly:
     when it has no right green crossing; otherwise 1.
     """
     edges = pm.all_edges()
-    sign = 1
+    nests, left, right = _relation_masks(edges)
+    green = sum(1 << i for i, e in enumerate(edges) if e not in pm.black)
     cd = 0
-    for e in pm.black:
-        a, b = e
-        nests = any(a < a2 and b2 < b for a2, b2 in edges if (a2, b2) != e)
-        green_cross = any(
-            (a2 < a < b2 < b) or (a < a2 < b < b2) for a2, b2 in pm.green
-        )
-        left_black = any(a2 < a < b2 < b for a2, b2 in pm.black)
-        sign = -sign
-        if not nests and not green_cross and not left_black:
-            cd += 1
-    for e in pm.green:
-        a, b = e
-        if not any(a < a2 < b < b2 for a2, b2 in pm.green):
-            cd += 1
-    return Poly.monomial(0, cd, sign)
+    for i in range(len(edges)):
+        if green >> i & 1:
+            cd += not right[i] & green
+        else:
+            # A left crossing of either colour disqualifies a black edge.
+            cd += not (nests[i] or left[i] or right[i] & green)
+    return Poly._raw({(0, cd): _SIGNS[len(pm.black) % 2]})
 
 
 def flip_candidate(pm: PairedMatching) -> Edge | None:
@@ -206,16 +201,11 @@ def flip_candidate(pm: PairedMatching) -> Edge | None:
     n = m.
     """
     edges = pm.all_edges()
-    best = None
-    for e in edges:
-        if not pm.is_homogeneous(e):
-            continue
-        a, b = e
-        if any(a < a2 and b2 < b for a2, b2 in edges if (a2, b2) != e):
-            continue
-        if best is None or e < best:
-            best = e
-    return best
+    nests = _relation_masks(edges)[0]
+    for i, e in enumerate(edges):
+        if pm.is_homogeneous(e) and not nests[i]:
+            return e
+    return None
 
 
 def orthogonality_involution(pm: PairedMatching) -> PairedMatching:

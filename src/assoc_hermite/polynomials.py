@@ -4,7 +4,13 @@ A polynomial is a map from exponent pairs (x degree, c degree) to rational
 coefficients.  Zero coefficients are never stored, so the term map is a
 canonical form: two polynomials are equal exactly when their maps coincide.
 All coefficients are fractions.Fraction values, which keeps every identity
-in this package exact; nothing here ever rounds.
+in this package exact; nothing here ever rounds.  A coefficient must be an
+exact rational (any numbers.Rational, int and bool included): a float,
+Decimal or complex raises TypeError instead of being rounded to a fraction.
+
+The public constructor checks every term.  The ring operations, shift_c and
+the matchings fold drop zero sums themselves and build their results through
+the private Poly._raw, which takes such a canonical term map unchecked.
 
 Instances are immutable by convention.  Every operation returns a fresh
 polynomial and never mutates its operands.
@@ -14,10 +20,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Rational
 from typing import Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int]
+
+
+def _exact(value) -> Fraction:
+    """value as a Fraction; anything but an exact rational raises TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not an exact rational; polynomials never round")
 
 
 class Poly:
@@ -32,10 +48,18 @@ class Poly:
                 xd, cd = key
                 if xd < 0 or cd < 0:
                     raise ValueError(f"negative exponent in term {key!r}")
-                q = Fraction(coeff)
+                q = coeff if type(coeff) is Fraction else _exact(coeff)
                 if q:
                     clean[(int(xd), int(cd))] = q
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, terms: dict[Key, Fraction]) -> "Poly":
+        """A polynomial that owns terms as given: the caller guarantees int
+        exponents >= 0 and nonzero Fraction coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -52,7 +76,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def x(cls, power: int = 1) -> "Poly":
@@ -64,7 +88,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, xd: int, cd: int, coeff: Scalar = 1) -> "Poly":
-        return cls({(xd, cd): Fraction(coeff)})
+        return cls({(xd, cd): coeff})
 
     # ----- ring operations -----
 
@@ -87,12 +111,12 @@ class Poly:
                 out[key] = total
             else:
                 out.pop(key, None)
-        return Poly(out)
+        return Poly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({key: -coeff for key, coeff in self.terms.items()})
+        return Poly._raw({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -119,7 +143,7 @@ class Poly:
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return Poly(out)
+        return Poly._raw(out)
 
     __rmul__ = __mul__
 
@@ -177,8 +201,8 @@ class Poly:
     # ----- transforms -----
 
     def evaluate(self, x_value: Scalar = 0, c_value: Scalar = 0) -> Fraction:
-        xv = Fraction(x_value)
-        cv = Fraction(c_value)
+        xv = _exact(x_value)
+        cv = _exact(c_value)
         total = Fraction(0)
         for (xd, cd), q in self.terms.items():
             total += q * xv**xd * cv**cd
@@ -195,7 +219,7 @@ class Poly:
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return Poly(out)
+        return Poly._raw(out)
 
     # ----- encoding -----
 

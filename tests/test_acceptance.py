@@ -21,13 +21,15 @@ of being silently weakened.
 
 import io
 import json
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import cache
 from itertools import permutations
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 
+from assoc_hermite import cli
 from assoc_hermite.cli import main
 from assoc_hermite.linearization import conjecture_sweep
 from assoc_hermite.moments import (
@@ -41,7 +43,7 @@ from assoc_hermite.moments import (
     paired_weight,
 )
 from assoc_hermite.polynomials import C, Poly, rising_factorial
-from assoc_hermite.verification import suite_maps_extended
+from assoc_hermite.verification import RunReport, run_all, suite_maps_extended
 
 # Suites of the desk level in run order, with the number of cases each checks.
 DESK_CASES = [
@@ -60,12 +62,30 @@ DESK_CASES = [
 
 
 @cache
+def desk_reports() -> list[RunReport]:
+    """The desk suites, run once per session."""
+    return run_all("desk")
+
+
+def replay_desk(level: str) -> list[RunReport]:
+    assert level == "desk"
+    return desk_reports()
+
+
+@cache
+def desk_output(*flags: str) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of `verify-all --level desk` with the
+    flags, in process; every flag set reports the same run of the suites."""
+    out, err = io.StringIO(), io.StringIO()
+    with patch.object(cli, "run_all", replay_desk), redirect_stdout(out), redirect_stderr(err):
+        status = main(["verify-all", "--level", "desk", *flags])
+    return status, out.getvalue(), err.getvalue()
+
+
 def desk_run() -> tuple[int, list[dict]]:
-    """Exit status and suite reports of one in-process `verify-all --level desk`."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        status = main(["verify-all", "--level", "desk"])
-    return status, json.loads(out.getvalue())
+    """Exit status and suite reports of `verify-all --level desk`."""
+    status, out, _ = desk_output()
+    return status, json.loads(out)
 
 
 def assert_suite_clean(suite: str) -> None:
@@ -96,6 +116,17 @@ def test_verify_all_desk_exits_zero_with_pinned_case_counts():
     status, reports = desk_run()
     assert status == 0
     assert [(r["suite"], r["cases"]) for r in reports] == DESK_CASES
+
+
+@pytest.mark.parametrize("fmt", [(), ("--csv",)], ids=["json", "csv"])
+def test_verify_all_timings_leave_stdout_unchanged(fmt):
+    status, out, err = desk_output(*fmt)
+    timed_status, timed_out, timed_err = desk_output(*fmt, "--timings")
+    assert (timed_status, timed_out) == (status, out)
+    assert err == ""
+    timings = [json.loads(line) for line in timed_err.splitlines()]
+    assert [(t["suite"], t["cases"]) for t in timings] == DESK_CASES
+    assert all(t["seconds"] >= 0 and t["failures"] == [] for t in timings)
 
 
 def test_criterion_01_moment_tables():

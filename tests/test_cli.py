@@ -108,6 +108,24 @@ def test_associated_recurrence_degree_is_capped(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,warns",
+    [
+        (["poly", "matchings", "6"], True),
+        (["poly", "marker-edge", "4"], True),
+        (["poly", "recurrence", "6"], False),
+        (["gf", "10,10,10,10", "--scheme", "rightmost"], False),
+        (["conjecture", "--sum-max", "4"], False),
+    ],
+)
+def test_raised_cap_warns_only_where_it_bounds_an_enumeration(capsys, argv, warns):
+    rc, out, err = run(capsys, *argv, "--cap", "40")
+    assert rc == 0
+    assert ("enumeration time grows" in err) is warns
+    if argv[0] != "gf":
+        assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["moments", "--upto", "21"],

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from assoc_hermite import maps
 from assoc_hermite.maps import (
     RootedMap,
     connected_matching_tags,
@@ -18,6 +19,7 @@ from assoc_hermite.maps import (
 from assoc_hermite.matchings import Matching, _pairings, enumerate_complete, is_connected
 from assoc_hermite.moments import moment
 from assoc_hermite.polynomials import Poly
+from assoc_hermite.verification import suite_bijections
 
 # Rooted maps with E edges (Walsh and Lehman), equivalently connected
 # complete matchings on 2E + 2 vertices.
@@ -203,3 +205,29 @@ def test_tail_swap_inverse_rejects_bad_tags():
         tail_swap_inverse(m, {(2, 3)})
     with pytest.raises(ValueError, match="not an edge"):
         tail_swap_inverse(m, {(2, 5)})
+
+
+def reference_crossing_count(edges):
+    """The pairwise scan that the relation masks replaced."""
+    return sum(
+        1
+        for e, f in combinations(edges, 2)
+        for a, b in [min(e, f)]
+        for a2, b2 in [max(e, f)]
+        if a < a2 < b < b2
+    )
+
+
+def test_crossing_count_matches_the_scan_on_the_suite_inputs(monkeypatch):
+    counts = []
+    fast = maps._crossing_count
+
+    def checked(edges):
+        count = fast(edges)
+        assert count == reference_crossing_count(edges), edges
+        counts.append(count)
+        return count
+
+    monkeypatch.setattr(maps, "_crossing_count", checked)
+    assert suite_bijections().ok
+    assert len(counts) == 4662

@@ -17,6 +17,8 @@ from assoc_hermite.matchings import (
     reverse,
     weight,
 )
+from assoc_hermite.models import enumerate_marker_edge_matchings
+from assoc_hermite.moments import PairedMatching, enumerate_paired
 from assoc_hermite.polynomials import Poly
 
 
@@ -214,3 +216,27 @@ def test_connected_counts():
         for h in range(5)
     ]
     assert counts == [1, 1, 2, 10, 74]
+
+
+def test_trusted_results_equal_their_validated_rebuilds():
+    """Every enumerator skips validation; the public constructors must
+    accept each object it yields and rebuild an equal one."""
+    matchings = [m for n in range(9) for m in enumerate_incomplete(n)]
+    matchings += [m for n in range(0, 9, 2) for m in enumerate_complete(n)]
+    matchings += [
+        m
+        for sizes in ((2, 2, 2), (1, 3, 2), (3, 1, 1, 1), (0, 4, 2, 2))
+        for m in enumerate_inhomogeneous(Blocks(sizes))
+    ]
+    matchings += [m for n in range(7) for m in enumerate_marker_edge_matchings(n)]
+    for m in matchings:
+        rebuilt = Matching(m.n, m.edges)
+        assert rebuilt == m and repr(rebuilt) == repr(m), m
+    paired = [pm for total in range(0, 9, 2) for n in range(total + 1)
+              for pm in enumerate_paired(n, total - n)]
+    paired += [pm.recolored(e) for pm in paired for e in pm.all_edges()
+               if pm.is_homogeneous(e)]
+    for pm in paired:
+        rebuilt = PairedMatching(pm.n, pm.m, pm.black, pm.green)
+        assert rebuilt == pm and repr(rebuilt) == repr(pm), pm
+    assert (len(matchings), len(paired)) == (1518, 34890)

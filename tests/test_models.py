@@ -4,6 +4,7 @@ from math import comb, prod
 
 import pytest
 
+from assoc_hermite import models
 from assoc_hermite.matchings import Matching, _pairings
 from assoc_hermite.models import (
     anchored_config_gf,
@@ -23,6 +24,7 @@ from assoc_hermite.models import (
     usual_hermite,
 )
 from assoc_hermite.polynomials import C, Poly, X, rising_factorial
+from assoc_hermite.verification import suite_polynomial_models
 
 
 def test_low_degree_polynomials():
@@ -176,3 +178,31 @@ def test_two_row_matchings_shape():
         assert isinstance(m, Matching)
         assert m.is_complete()
         assert m.n == 6
+
+
+def reference_is_anchored(m, special):
+    """The per-edge scan that the relation masks replaced."""
+    if special != models._special_edges(m):
+        return False
+    for e in m.edges:
+        if e in special:
+            continue
+        a, b = e
+        if not any(a2 < a < b2 < b for a2, b2 in special):
+            return False
+    return True
+
+
+def test_is_anchored_matches_the_scan_on_the_suite_inputs(monkeypatch):
+    verdicts = []
+    fast = models._is_anchored
+
+    def checked(m, special):
+        verdict = fast(m, special)
+        assert verdict == reference_is_anchored(m, special), (m, special)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(models, "_is_anchored", checked)
+    assert suite_polynomial_models().ok
+    assert (len(verdicts), verdicts.count(True)) == (794, 221)

@@ -174,3 +174,61 @@ def test_permutation_statistics():
     )
     lrm, cyc = both(5)
     assert lrm == cyc  # equidistributed
+
+
+def reference_paired_weight(pm):
+    """The per-edge scans that the colour-masked relation sweep replaced."""
+    edges = pm.all_edges()
+    sign = 1
+    cd = 0
+    for e in pm.black:
+        a, b = e
+        nests = any(a < a2 and b2 < b for a2, b2 in edges if (a2, b2) != e)
+        green_cross = any(
+            (a2 < a < b2 < b) or (a < a2 < b < b2) for a2, b2 in pm.green
+        )
+        left_black = any(a2 < a < b2 < b for a2, b2 in pm.black)
+        sign = -sign
+        if not nests and not green_cross and not left_black:
+            cd += 1
+    for e in pm.green:
+        a, b = e
+        if not any(a < a2 < b < b2 for a2, b2 in pm.green):
+            cd += 1
+    return Poly.monomial(0, cd, sign)
+
+
+def reference_flip_candidate(pm):
+    edges = pm.all_edges()
+    best = None
+    for e in edges:
+        if not pm.is_homogeneous(e):
+            continue
+        a, b = e
+        if any(a < a2 and b2 < b for a2, b2 in edges if (a2, b2) != e):
+            continue
+        if best is None or e < best:
+            best = e
+    return best
+
+
+def test_paired_weight_and_flip_candidate_match_the_scans():
+    checked = 0
+    for total in range(0, 9, 2):
+        for n in range(total + 1):
+            for pm in enumerate_paired(n, total - n):
+                assert paired_weight(pm) == reference_paired_weight(pm), pm
+                assert flip_candidate(pm) == reference_flip_candidate(pm), pm
+                checked += 1
+    assert checked == 8202
+
+
+def test_recoloring_keeps_the_public_validation():
+    pm = PairedMatching(2, 2, ((1, 2),), ((3, 4),))
+    assert pm.recolored((1, 2)) == PairedMatching(2, 2, (), ((1, 2), (3, 4)))
+    assert pm.recolored((3, 4)) == PairedMatching(2, 2, ((1, 2), (3, 4)), ())
+    spanning = PairedMatching(1, 1, (), ((1, 2),))
+    with pytest.raises(ValueError, match=r"black edge \(1, 2\) crosses the row boundary"):
+        spanning.recolored((1, 2))
+    with pytest.raises(ValueError, match="not present"):
+        pm.recolored((1, 3))

@@ -1,7 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +122,67 @@ def test_binomial_poly_symbolic():
 def test_rising_factorial_value():
     assert rising_factorial_value(Fraction(3), 4) == 3 * 4 * 5 * 6
     assert rising_factorial_value(Fraction(1, 2), 2) == Fraction(3, 4)
+
+
+def test_exact_rationals_are_accepted():
+    # An int or bool is converted to a Fraction; a Fraction is kept as it is.
+    half = Fraction(1, 2)
+    assert Poly({(0, 0): half}).terms[(0, 0)] is half
+    assert Poly({(0, 0): True}) == Poly.one()
+    assert Poly.monomial(1, 2, Fraction(3, 4)).terms == {(1, 2): Fraction(3, 4)}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, Decimal("0.5"), 1 + 0j])
+def test_inexact_scalars_are_refused(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Poly({(0, 0): value})
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Poly.constant(value)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Poly.monomial(1, 0, value)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        X.evaluate(value, 1)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        C.evaluate(1, value)
+
+
+def test_negative_exponents_are_still_a_value_error():
+    with pytest.raises(ValueError, match=r"negative exponent in term \(-1, 0\)"):
+        Poly({(-1, 0): 1})
+
+
+x_sym, c_sym = sympy.symbols("x c")
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    return sympy.Poly.from_dict(
+        {key: sympy.Rational(q.numerator, q.denominator) for key, q in p.terms.items()},
+        x_sym, c_sym, domain=sympy.QQ,
+    )
+
+
+def assert_canonical(p: Poly) -> None:
+    """What Poly._raw takes on trust: int exponents, nonzero Fractions."""
+    for (xd, cd), q in p.terms.items():
+        assert type(xd) is int and type(cd) is int and xd >= 0 and cd >= 0
+        assert type(q) is Fraction and q != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, st.integers(0, 3), points)
+def test_arithmetic_matches_sympy(p, q, k, point):
+    sp, sq = to_sympy(p), to_sympy(q)
+    results = [
+        (p + q, sp + sq),
+        (p - q, sp - sq),
+        (-p, -sp),
+        (p * q, sp * sq),
+        (p**k, sp**k),
+        (p.shift_c(), sympy.Poly(sp.as_expr().subs(c_sym, c_sym + 1), x_sym, c_sym, domain=sympy.QQ)),
+    ]
+    for ours, theirs in results:
+        assert_canonical(ours)
+        assert to_sympy(ours) == theirs
+    x, c = point
+    value = sympy.Rational(sp.as_expr().subs({x_sym: x, c_sym: c}))
+    assert p.evaluate(x, c) == Fraction(int(value.p), int(value.q))
