@@ -54,7 +54,8 @@ GENERATORS = (
 )
 
 # Commands refuse sizes past these caps instead of running for many minutes.
-# H_n(x; c) costs roughly cubic time in n through Fraction arithmetic,
+# H_n(x; c) and every `poly` generator that does not enumerate cost
+# roughly cubic time in n through Fraction arithmetic,
 # moment(k) enumerates Dyck paths and takes about 11 s at k = 20, and
 # `quadruples` translates every rooted map (8,162 of them at 5 edges).
 _MAX_RECURRENCE_DEGREE = 450
@@ -114,7 +115,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             "enumeration time grows faster than exponentially",
             file=sys.stderr,
         )
-    if args.generator in ("recurrence", "chebyshev-limit"):
+    if args.generator not in ("matchings", "marker-edge"):
         _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
     if args.generator == "recurrence":
         p = associated_hermite(n)

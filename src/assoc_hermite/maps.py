@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matchings import (
-    Edge, Matching, _edge_relations, _relation_masks, is_connected, nonnested_edges,
-)
+from .matchings import Edge, Matching, _relation_masks, is_connected, nonnested_edges
 from .moments import cycle_count
 from .polynomials import Poly
 
@@ -299,11 +297,11 @@ def tail_swap_inverse(m: Matching, tags: frozenset[Edge] | set[Edge]) -> Matchin
     if not m.is_complete():
         raise ValueError("needs a complete matching")
     tags = frozenset(tags)
-    relations = _edge_relations(m)
+    nonnested = nonnested_edges(m)
     for e in tags:
-        if e not in relations:
+        if e not in m.edges:
             raise ValueError(f"tag {e!r} is not an edge")
-        if relations[e].is_nested_by_other:
+        if e not in nonnested:
             raise ValueError(f"tag {e!r} sits on a nested edge")
     edges = [(a + 1, b + 1) for a, b in m.edges]
     marker = (1, m.n + 2)

@@ -10,9 +10,9 @@ model in the package:
   may stay unpaired), so enumeration is deterministic and repeated runs
   stream identical sequences.
 - `_relation_masks` is the one edge-relation sweep: bitmasks of the edges
-  each edge nests and of those crossing it from the left or right.
-  `_edge_relations` reads them as flags; the weights of coloured matchings
-  read them through a colour mask.
+  each edge nests and of those crossing it from the left or right.  Every
+  weight and edge statistic reads them, the weights of coloured matchings
+  through a colour mask; `edge_stats` gathers one edge's into a record.
 - `_gf` is the one fold that sums weights into a polynomial.
 
 Enumerators build their results through `_trusted`, without the public
@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .polynomials import Poly
@@ -157,60 +156,63 @@ def _relation_masks(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[i
     return nests, left, right
 
 
-def _edge_relations(m: Matching) -> dict[Edge, EdgeStats]:
-    """Nesting and crossing relations of every edge of m, in edge order;
-    nested fixed points are counted by a prefix sum."""
-    matched = bytearray(m.n + 1)
-    for a, b in m.edges:
-        matched[a] = matched[b] = 1
-    free_upto = list(accumulate(1 - x for x in matched))
-    nests, left, right = _relation_masks(m.edges)
-    nested = 0
-    for mask in nests:
-        nested |= mask
-    return {
-        e: EdgeStats(bool(nested >> i & 1), bool(left[i]), bool(right[i]),
-                     bool(nests[i]) or free_upto[e[1]] > free_upto[e[0]])
-        for i, e in enumerate(m.edges)
-    }
+def _special_mask(edges: Sequence[Edge]) -> tuple[int, list[int]]:
+    """Bitmask over edge indices of the edges that nest no edge or fixed
+    point and have no left crossing, with each edge's left-crossing mask.
+
+    A vertex strictly inside edge (a, b) is a fixed point, an endpoint of a
+    nested edge, or the one inside endpoint of a crossing edge, so (a, b)
+    nests nothing exactly when its crossings account for all b - a - 1."""
+    _, left, right = _relation_masks(edges)
+    special = 0
+    for i, (a, b) in enumerate(edges):
+        if not left[i] and right[i].bit_count() == b - a - 1:
+            special |= 1 << i
+    return special, left
 
 
 def edge_stats(m: Matching, e: Edge) -> EdgeStats:
     """Nesting and crossing relations of edge e inside matching m."""
     if e not in m.edges:
         raise ValueError(f"edge {e!r} not in matching {m}")
-    return _edge_relations(m)[e]
+    i = m.edges.index(e)
+    nests, left, right = _relation_masks(m.edges)
+    a, b = e
+    return EdgeStats(
+        is_nested_by_other=any(mask >> i & 1 for mask in nests),
+        has_left_crossing=bool(left[i]),
+        has_right_crossing=bool(right[i]),
+        nests_edge_or_fixed_point=left[i].bit_count() + right[i].bit_count() < b - a - 1,
+    )
 
 
 def nonnested_edges(m: Matching) -> tuple[Edge, ...]:
     """Edges of m not nested by any other edge."""
-    return tuple(e for e, s in _edge_relations(m).items() if not s.is_nested_by_other)
+    nested = 0
+    for mask in _relation_masks(m.edges)[0]:
+        nested |= mask
+    return tuple(e for i, e in enumerate(m.edges) if not nested >> i & 1)
 
 
 def weight(m: Matching, scheme: WeightScheme) -> Poly:
     """The weight of one matching; always a signed monomial in x and c."""
     if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
         return weight(reverse(m), WeightScheme.POLY_RIGHTMOST)
-    if scheme in MOMENT_SCHEMES and not m.is_complete():
-        raise ValueError("moment weightings apply to complete matchings only")
-    stats = _edge_relations(m).values()
-    if scheme is WeightScheme.MOMENT_NONNESTED:
-        cd = sum(1 for s in stats if not s.is_nested_by_other)
-        return Poly.monomial(0, cd)
-    if scheme is WeightScheme.MOMENT_NO_RIGHT_CROSSING:
-        cd = sum(1 for s in stats if not s.has_right_crossing)
-        return Poly.monomial(0, cd)
-    if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
-        cd = sum(1 for s in stats if not s.has_left_crossing)
-        return Poly.monomial(0, cd)
     if scheme is WeightScheme.POLY_RIGHTMOST:
-        special = sum(
-            1 for s in stats
-            if not s.nests_edge_or_fixed_point and not s.has_left_crossing
-        )
         sign = -1 if len(m.edges) % 2 else 1
-        return Poly.monomial(len(m.fixed_points()), special, sign)
-    raise ValueError(f"unknown weight scheme {scheme!r}")
+        special = _special_mask(m.edges)[0].bit_count()
+        return Poly.monomial(m.n - 2 * len(m.edges), special, sign)
+    if scheme not in MOMENT_SCHEMES:
+        raise ValueError(f"unknown weight scheme {scheme!r}")
+    if not m.is_complete():
+        raise ValueError("moment weightings apply to complete matchings only")
+    if scheme is WeightScheme.MOMENT_NONNESTED:
+        cd = len(nonnested_edges(m))
+    elif scheme is WeightScheme.MOMENT_NO_RIGHT_CROSSING:
+        cd = _relation_masks(m.edges)[2].count(0)
+    else:
+        cd = _relation_masks(m.edges)[1].count(0)
+    return Poly.monomial(0, cd)
 
 
 def _check_cap(n: int, cap: int) -> None:

@@ -21,11 +21,11 @@ from .matchings import (
     Edge,
     Matching,
     WeightScheme,
-    _edge_relations,
     _gf,
     _pairings,
-    _relation_masks,
+    _special_mask,
     _trusted,
+    enumerate_complete,
     enumerate_incomplete,
     enumerate_inhomogeneous,
     nonnested_edges,
@@ -199,28 +199,20 @@ class AnchoredConfig:
         return Poly.monomial(0, len(self.special), sign)
 
 
-def _special_edges(m: Matching) -> frozenset[Edge]:
-    return frozenset(
-        e for e, s in _edge_relations(m).items()
-        if not s.nests_edge_or_fixed_point and not s.has_left_crossing
-    )
-
-
-def _is_anchored(m: Matching, special: frozenset[Edge]) -> bool:
-    if special != _special_edges(m):
-        return False
-    left = _relation_masks(m.edges)[1]
-    special_mask = sum(1 << i for i, e in enumerate(m.edges) if e in special)
-    return all(left[i] & special_mask for i, e in enumerate(m.edges) if e not in special)
+def _anchored_special(m: Matching) -> frozenset[Edge] | None:
+    """The special edges of m when every other edge has a left crossing by
+    one of them; None when m is not anchored."""
+    special, left = _special_mask(m.edges)
+    if any(not left[i] & special for i in range(len(m.edges)) if not special >> i & 1):
+        return None
+    return frozenset(e for i, e in enumerate(m.edges) if special >> i & 1)
 
 
 def enumerate_anchored_configs(k: int, cap: int = DEFAULT_CAP) -> Iterator[AnchoredConfig]:
     """All anchored configurations on 2k vertices."""
-    from .matchings import enumerate_complete
-
     for m in enumerate_complete(2 * k, cap=cap):
-        special = _special_edges(m)
-        if _is_anchored(m, special):
+        special = _anchored_special(m)
+        if special is not None:
             yield AnchoredConfig(m, special)
 
 
@@ -255,10 +247,9 @@ def anchored_config_slots(cfg: AnchoredConfig) -> tuple[int, int]:
     for gap in range(m.n + 1):
         enlarged, new_edge, moved = _insert_edge(m, gap)
         base = frozenset(moved[e] for e in cfg.special)
-        if _is_anchored(enlarged, frozenset(base)):
-            plain_slots += 1
-        if _is_anchored(enlarged, base | {new_edge}):
-            special_slots += 1
+        special = _anchored_special(enlarged)
+        plain_slots += special == base
+        special_slots += special == base | {new_edge}
     return plain_slots, special_slots
 
 

@@ -179,21 +179,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def x_degree(self) -> int:
-        """Largest x exponent, or -1 for the zero polynomial."""
-        return max((xd for xd, _ in self.terms), default=-1)
-
-    def c_degree(self) -> int:
-        """Largest c exponent, or -1 for the zero polynomial."""
-        return max((cd for _, cd in self.terms), default=-1)
-
-    def coefficient(self, xd: int, cd: int) -> Fraction:
-        return self.terms.get((xd, cd), Fraction(0))
-
-    def coeff_of_x_power(self, xd: int) -> "Poly":
-        """The polynomial in c multiplying x**xd."""
-        return Poly({(0, cd): q for (xa, cd), q in self.terms.items() if xa == xd})
-
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         """Terms sorted by (x degree, c degree) descending; the canonical order."""
         return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)

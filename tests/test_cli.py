@@ -98,6 +98,9 @@ def test_poly_csv_header(capsys):
         ["poly", "recurrence", "900"],
         ["poly", "chebyshev-limit", "451"],
         ["mixed", "400", "51"],
+        ["poly", "hermite", "451"],
+        ["poly", "chebyshev", "451"],
+        ["poly", "basis", "451"],
     ],
 )
 def test_associated_recurrence_degree_is_capped(capsys, argv):

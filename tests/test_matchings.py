@@ -7,7 +7,6 @@ from assoc_hermite.matchings import (
     EdgeStats,
     Matching,
     WeightScheme,
-    _edge_relations,
     edge_stats,
     enumerate_complete,
     enumerate_incomplete,
@@ -125,16 +124,33 @@ def reference_nonnested_edges(m):
     )
 
 
+def reference_weight(m, scheme):
+    """The weight of m under scheme, counted from the per-edge scan."""
+    if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
+        return reference_weight(reverse(m), WeightScheme.POLY_RIGHTMOST)
+    stats = [reference_edge_stats(m, e) for e in m.edges]
+    if scheme is WeightScheme.POLY_RIGHTMOST:
+        special = sum(not s.nests_edge_or_fixed_point and not s.has_left_crossing for s in stats)
+        return Poly.monomial(len(m.fixed_points()), special, (-1) ** len(m.edges))
+    if scheme is WeightScheme.MOMENT_NONNESTED:
+        return Poly.monomial(0, len(reference_nonnested_edges(m)))
+    if scheme is WeightScheme.MOMENT_NO_RIGHT_CROSSING:
+        return Poly.monomial(0, sum(not s.has_right_crossing for s in stats))
+    return Poly.monomial(0, sum(not s.has_left_crossing for s in stats))
+
+
 def test_edge_relations_match_the_per_edge_scan():
     checked = 0
     for n in range(9):
         for m in enumerate_incomplete(n):
-            relations = _edge_relations(m)
-            assert tuple(relations) == m.edges
             for e in m.edges:
-                assert relations[e] == reference_edge_stats(m, e), (m, e)
-                assert edge_stats(m, e) == relations[e]
+                assert edge_stats(m, e) == reference_edge_stats(m, e), (m, e)
             assert nonnested_edges(m) == reference_nonnested_edges(m)
+            schemes = WeightScheme if m.is_complete() else (
+                WeightScheme.POLY_RIGHTMOST, WeightScheme.POLY_REVERSED_RIGHTMOST
+            )
+            for scheme in schemes:
+                assert weight(m, scheme) == reference_weight(m, scheme), (m, scheme)
             checked += 1
     assert checked == 1116
 

@@ -180,29 +180,30 @@ def test_two_row_matchings_shape():
         assert m.n == 6
 
 
-def reference_is_anchored(m, special):
-    """The per-edge scan that the relation masks replaced."""
-    if special != models._special_edges(m):
-        return False
-    for e in m.edges:
-        if e in special:
-            continue
-        a, b = e
-        if not any(a2 < a < b2 < b for a2, b2 in special):
-            return False
-    return True
+def reference_anchored_special(m):
+    """The per-edge scan that the relation masks replaced: the edges of the
+    complete matching m that nest no edge and have no left crossing, when
+    every other edge has a left crossing by one of them."""
+    special = frozenset(
+        (a, b) for a, b in m.edges
+        if not any(a < a2 and b2 < b or a2 < a < b2 < b for a2, b2 in m.edges)
+    )
+    for a, b in m.edges:
+        if (a, b) not in special and not any(a2 < a < b2 < b for a2, b2 in special):
+            return None
+    return special
 
 
 def test_is_anchored_matches_the_scan_on_the_suite_inputs(monkeypatch):
-    verdicts = []
-    fast = models._is_anchored
+    found = []
+    fast = models._anchored_special
 
-    def checked(m, special):
-        verdict = fast(m, special)
-        assert verdict == reference_is_anchored(m, special), (m, special)
-        verdicts.append(verdict)
-        return verdict
+    def checked(m):
+        special = fast(m)
+        assert special == reference_anchored_special(m), m
+        found.append(special)
+        return special
 
-    monkeypatch.setattr(models, "_is_anchored", checked)
+    monkeypatch.setattr(models, "_anchored_special", checked)
     assert suite_polynomial_models().ok
-    assert (len(verdicts), verdicts.count(True)) == (794, 221)
+    assert (len(found), sum(s is not None for s in found)) == (522, 221)
