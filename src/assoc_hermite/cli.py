@@ -56,7 +56,8 @@ GENERATORS = (
 # Commands refuse sizes past these caps instead of running for many minutes.
 # H_n(x; c) and every `poly` generator that does not enumerate cost
 # roughly cubic time in n through Fraction arithmetic,
-# moment(k) enumerates Dyck paths and takes about 11 s at k = 20, and
+# moment(k) enumerates Dyck paths and takes about 15 s at k = 20 (Python
+# 3.11 on a shared 2-core host), and
 # `quadruples` translates every rooted map (8,162 of them at 5 edges).
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_MOMENT_INDEX = 20

@@ -255,9 +255,9 @@ def _pairings(
             yield ((v, w),) + tail
 
 
-def enumerate_complete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_complete(n: int) -> Iterator[Matching]:
     """All complete matchings on {1, ..., n}; there are (n-1)!! of them."""
-    _check_cap(n, cap)
+    _check_cap(n, DEFAULT_CAP)
     if n % 2:
         raise ValueError("complete matchings need an even vertex count")
     for edges in _pairings(tuple(range(1, n + 1))):
@@ -298,10 +298,10 @@ class Blocks:
         raise AssertionError("unreachable")
 
 
-def enumerate_inhomogeneous(blocks: Blocks, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:
     """Complete matchings on the block structure with no edge inside a block."""
     n = blocks.total
-    _check_cap(n, cap)
+    _check_cap(n, DEFAULT_CAP)
     if n % 2:
         raise ValueError("inhomogeneous matchings need an even vertex total")
     block_of = [0] + [i for i, s in enumerate(blocks.sizes) for _ in range(s)]

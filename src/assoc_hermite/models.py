@@ -21,6 +21,7 @@ from .matchings import (
     Edge,
     Matching,
     WeightScheme,
+    _check_cap,
     _gf,
     _pairings,
     _special_mask,
@@ -88,8 +89,7 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
     whole diagram hangs together.
     """
     total = n + 2
-    if total > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    _check_cap(total, cap)
     rest = tuple(range(2, total + 1))
     for t in rest:
         others = tuple(v for v in rest if v != t)
@@ -135,14 +135,14 @@ def chebyshev_u(n: int) -> Poly:
     return X * chebyshev_u(n - 1) - chebyshev_u(n - 2)
 
 
-def chebyshev_u_matchings(n: int, cap: int = DEFAULT_CAP) -> Poly:
+def chebyshev_u_matchings(n: int) -> Poly:
     """U_n(x) as the generating function of matchings with adjacent edges only.
 
     Fixed points weigh x and each edge (i, i+1) weighs -1; no other edges
     are allowed.  Used as an independent cross-check of the recurrence.
     """
     adjacent = (
-        m for m in enumerate_incomplete(n, cap=cap)
+        m for m in enumerate_incomplete(n)
         if all(b == a + 1 for a, b in m.edges)
     )
     return _gf(
@@ -208,17 +208,17 @@ def _anchored_special(m: Matching) -> frozenset[Edge] | None:
     return frozenset(e for i, e in enumerate(m.edges) if special >> i & 1)
 
 
-def enumerate_anchored_configs(k: int, cap: int = DEFAULT_CAP) -> Iterator[AnchoredConfig]:
+def enumerate_anchored_configs(k: int) -> Iterator[AnchoredConfig]:
     """All anchored configurations on 2k vertices."""
-    for m in enumerate_complete(2 * k, cap=cap):
+    for m in enumerate_complete(2 * k):
         special = _anchored_special(m)
         if special is not None:
             yield AnchoredConfig(m, special)
 
 
-def anchored_config_gf(k: int, cap: int = DEFAULT_CAP) -> Poly:
+def anchored_config_gf(k: int) -> Poly:
     """Sum of anchored-configuration weights; equals (-1)^k (c)_k."""
-    return _gf(enumerate_anchored_configs(k, cap=cap), AnchoredConfig.weight)
+    return _gf(enumerate_anchored_configs(k), AnchoredConfig.weight)
 
 
 def _insert_edge(m: Matching, gap: int) -> tuple[Matching, Edge, dict[Edge, Edge]]:
@@ -256,12 +256,12 @@ def anchored_config_slots(cfg: AnchoredConfig) -> tuple[int, int]:
 # ----- complete matchings across two rows, in bijection with permutations -----
 
 
-def enumerate_two_row_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_two_row_matchings(n: int) -> Iterator[Matching]:
     """Complete matchings on [n] + [n] with every edge spanning the two rows."""
-    yield from enumerate_inhomogeneous(Blocks((n, n)), cap=cap)
+    yield from enumerate_inhomogeneous(Blocks((n, n)))
 
 
-def two_row_matching_gf(n: int, cap: int = DEFAULT_CAP) -> Poly:
+def two_row_matching_gf(n: int) -> Poly:
     """Nonnested edges weigh c, except the one at vertex 1; equals (c+1)_{n-1}.
 
     The matchings correspond to permutations of [n], with weight-c edges
@@ -271,6 +271,6 @@ def two_row_matching_gf(n: int, cap: int = DEFAULT_CAP) -> Poly:
         raise ValueError("needs n >= 1")
     # The edge at vertex 1 is never nested.
     return _gf(
-        enumerate_two_row_matchings(n, cap=cap),
+        enumerate_two_row_matchings(n),
         lambda m: Poly.monomial(0, len(nonnested_edges(m)) - 1),
     )

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .matchings import DEFAULT_CAP, Edge, WeightScheme, _gf, _relation_masks, _trusted, weight
+from .matchings import Edge, WeightScheme, _gf, _relation_masks, _trusted, weight
 from .models import associated_hermite
-from .polynomials import C, Poly, rising_factorial
+from .polynomials import C, Poly
 
 DyckPath = tuple[int, ...]
 
@@ -64,13 +64,13 @@ def moment(n: int) -> Poly:
     return _gf(enumerate_dyck_paths(n), _path_weight)
 
 
-def moment_via_matchings(n: int, scheme: WeightScheme, cap: int = DEFAULT_CAP) -> Poly:
+def moment_via_matchings(n: int, scheme: WeightScheme) -> Poly:
     """The nth moment as a sum over complete matchings on [n]."""
     from .matchings import enumerate_complete
 
     if n % 2:
         return Poly.zero()
-    return _gf(enumerate_complete(n, cap=cap), lambda m: weight(m, scheme))
+    return _gf(enumerate_complete(n), lambda m: weight(m, scheme))
 
 
 def apply_functional(p: Poly) -> Poly:
@@ -145,7 +145,7 @@ class PairedMatching:
         return _trusted(PairedMatching, n=self.n, m=self.m, black=black, green=green)
 
 
-def enumerate_paired(n: int, m: int, cap: int = DEFAULT_CAP) -> Iterator[PairedMatching]:
+def enumerate_paired(n: int, m: int) -> Iterator[PairedMatching]:
     """All paired matchings on [n] + [m].
 
     Every complete matching of the n + m vertices is colored in all ways
@@ -154,11 +154,9 @@ def enumerate_paired(n: int, m: int, cap: int = DEFAULT_CAP) -> Iterator[PairedM
     from .matchings import enumerate_complete
 
     total = n + m
-    if total > cap:
-        raise ValueError(f"n+m={total} exceeds the enumeration cap {cap}")
     if total % 2:
         return
-    for matching in enumerate_complete(total, cap=cap):
+    for matching in enumerate_complete(total):
         edges = matching.edges
         homogeneous = [e for e in edges if (e[1] <= n) or (e[0] > n)]
         for mask in range(1 << len(homogeneous)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from numbers import Rational
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int]

@@ -14,9 +14,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator
 
-from .matchings import DEFAULT_CAP, Matching
+from .matchings import Matching, enumerate_complete
 from .polynomials import Poly
 
 Partition = tuple[int, ...]
@@ -27,18 +28,17 @@ def _is_partition(shape: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(shape, shape[1:])) and all(a > 0 for a in shape)
 
 
-def _step_size(prev: Partition, cur: Partition) -> int:
-    """+1 for one box added, -1 for one removed; anything else is invalid."""
-    if len(cur) == len(prev) + 1 and cur[:-1] == prev and cur[-1] == 1:
-        return 1
-    if len(prev) == len(cur) + 1 and prev[:-1] == cur and prev[-1] == 1:
-        return -1
-    if len(prev) != len(cur):
-        return 0
-    diffs = [(i, b - a) for i, (a, b) in enumerate(zip(prev, cur)) if a != b]
-    if len(diffs) != 1 or abs(diffs[0][1]) != 1:
-        return 0
-    return diffs[0][1]
+def _step(prev: Partition, cur: Partition) -> tuple[int, int]:
+    """The direction and row of a step: (+1, row) for one box added in that
+    row, (-1, row) for one removed, and (0, -1) for anything else."""
+    diffs = [
+        (b - a, row)
+        for row, (a, b) in enumerate(zip_longest(prev, cur, fillvalue=0))
+        if a != b
+    ]
+    if len(diffs) == 1 and abs(diffs[0][0]) == 1:
+        return diffs[0]
+    return 0, -1
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class OscillatingTableau:
             if not _is_partition(s):
                 raise ValueError(f"{s!r} is not a partition")
         for prev, cur in zip(shapes, shapes[1:]):
-            if _step_size(prev, cur) == 0:
+            if _step(prev, cur)[0] == 0:
                 raise ValueError(f"step {prev!r} -> {cur!r} is not a single box")
 
     @property
@@ -190,25 +190,30 @@ def tableau_to_matching(t: OscillatingTableau) -> Matching:
     right_end: dict[int, int] = {}
     edges = []
     for v in range(n, 0, -1):
-        prev, cur = shapes[v - 1], shapes[v]
-        if _step_size(prev, cur) == -1:
-            row_index = next(
-                (i for i in range(len(prev)) if i >= len(cur) or prev[i] != cur[i]),
-            )
+        direction, row_index = _step(shapes[v - 1], shapes[v])
+        if direction == -1:
             while len(rows) <= row_index:
                 rows.append([])
             rows[row_index].append(next_label)
             right_end[next_label] = v
             next_label += 1
         else:
-            row_index = next(
-                (i for i in range(len(cur)) if i >= len(prev) or prev[i] != cur[i]),
-            )
             label = _reverse_insert(rows, row_index)
             edges.append((v, right_end.pop(label)))
     if rows or right_end:
         raise ValueError("walk did not close all edges")
     return Matching(n, tuple(edges))
+
+
+def _label_depths(fillings: list[Filling]) -> dict[int, tuple[int, int]]:
+    """The deepest row and deepest column, from 0, that each label reaches."""
+    depths: dict[int, tuple[int, int]] = {}
+    for filling in fillings:
+        for r, row in enumerate(filling):
+            for col, label in enumerate(row):
+                deep_row, deep_col = depths.get(label, (0, 0))
+                depths[label] = (max(deep_row, r), max(deep_col, col))
+    return depths
 
 
 def tableau_weight(t: OscillatingTableau, statistic: str = "column") -> Poly:
@@ -222,29 +227,14 @@ def tableau_weight(t: OscillatingTableau, statistic: str = "column") -> Poly:
     pointwise nor sums to the moments.  Smallest separating matching:
     (1,5)(2,4)(3,6), row weight c^2, no-right-crossing weight c.
     """
-    m = tableau_to_matching(t)
-    fillings = forward_fillings(m)
-    labels = set(_edge_labels(m).values())
     if statistic not in ("column", "row"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    confined = 0
-    for label in labels:
-        ok = True
-        for f in fillings:
-            for i, row in enumerate(f):
-                if label in row:
-                    if statistic == "column" and row.index(label) > 0:
-                        ok = False
-                    if statistic == "row" and i > 0:
-                        ok = False
-        if ok:
-            confined += 1
-    return Poly.monomial(0, confined)
+    axis = 1 if statistic == "column" else 0
+    depths = _label_depths(forward_fillings(tableau_to_matching(t)))
+    return Poly.monomial(0, sum(1 for depth in depths.values() if depth[axis] == 0))
 
 
-def enumerate_tableaux(length: int, cap: int = DEFAULT_CAP) -> Iterator[OscillatingTableau]:
+def enumerate_tableaux(length: int) -> Iterator[OscillatingTableau]:
     """All oscillating tableaux of the given even length, via matchings."""
-    from .matchings import enumerate_complete
-
-    for m in enumerate_complete(length, cap=cap):
+    for m in enumerate_complete(length):
         yield matching_to_tableau(m)

@@ -4,15 +4,16 @@ Every identity the library implements is checked here with exact
 arithmetic, by brute-force enumeration or, for block-matching sums, by the
 history recurrence that the tests check against enumeration; each suite
 returns a RunReport that lists how many cases ran and which failed.  The
-desk level finishes in minutes; the extended level adds the four-edge
+desk level finishes in seconds; the extended level adds the four-edge
 rooted-map census.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable
@@ -79,6 +80,8 @@ from .moments import (
 from .polynomials import C, Poly, rising_factorial, rising_factorial_value
 from .tableaux import (
     OscillatingTableau,
+    _edge_labels,
+    _label_depths,
     enumerate_tableaux,
     forward_fillings,
     matching_to_tableau,
@@ -99,16 +102,24 @@ class Failure:
 
 @dataclass
 class RunReport:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite, which records each case into it."""
 
     suite: str
-    cases: int
-    failures: list[Failure]
-    seconds: float
+    cases: int = 0
+    failures: list[Failure] = field(default_factory=list)
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def check(self, case: str, actual, expected) -> None:
+        self.cases += 1
+        if actual != expected:
+            self.failures.append(Failure(case, str(expected), str(actual)))
+
+    def ensure(self, case: str, condition: bool) -> None:
+        self.check(case, bool(condition), True)
 
     def to_json_obj(self, with_timing: bool = False) -> dict:
         obj = {
@@ -121,331 +132,307 @@ class RunReport:
         return obj
 
 
-class _Recorder:
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failures: list[Failure] = []
+def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Callable[[], RunReport]]:
+    """Decorate a function that records its cases into a report: the suite
+    makes the report, times the call and returns the report."""
 
-    def check(self, case: str, actual, expected) -> None:
-        self.cases += 1
-        if actual != expected:
-            self.failures.append(Failure(case, str(expected), str(actual)))
+    def wrap(body: Callable[[RunReport], None]) -> Callable[[], RunReport]:
+        @functools.wraps(body)
+        def run() -> RunReport:
+            rec = RunReport(name)
+            start = time.perf_counter()
+            body(rec)
+            rec.seconds = time.perf_counter() - start
+            return rec
 
-    def ensure(self, case: str, condition: bool) -> None:
-        self.check(case, bool(condition), True)
+        return run
 
-
-def _run(name: str, body: Callable[[_Recorder], None]) -> RunReport:
-    rec = _Recorder()
-    start = time.perf_counter()
-    body(rec)
-    return RunReport(name, rec.cases, rec.failures, time.perf_counter() - start)
+    return wrap
 
 
-def suite_moment_tables() -> RunReport:
+@_suite("moment tables")
+def suite_moment_tables(rec: RunReport) -> None:
     """Moments agree across the recursion, both matching statistics, and
     the continued fraction, and match the small closed forms."""
-
-    def body(rec: _Recorder) -> None:
-        rec.check("mu_0", moment(0), Poly.one())
-        rec.check("mu_2", moment(2), C)
-        rec.check("mu_4", moment(4), 2 * C**2 + C)
-        rec.check("mu_6", moment(6), 5 * C**3 + 7 * C**2 + 3 * C)
-        rec.check("mu_2 shifted", moment(2).shift_c(), C + 1)
-        rec.check("mu_4 shifted", moment(4).shift_c(), 2 * C**2 + 5 * C + 3)
-        rec.check(
-            "mu_6 shifted",
-            moment(6).shift_c(),
-            5 * C**3 + 22 * C**2 + 32 * C + 15,
-        )
-        order = 12
-        plain = moment_series(order // 2 + 1, order, shifted=False)
-        shifted = moment_series(order // 2 + 1, order, shifted=True)
-        for n in range(order + 1):
-            mu = moment(n)
-            if n % 2:
-                rec.check(f"mu_{n} vanishes", mu, Poly.zero())
-                rec.check(f"series coefficient t^{n}", plain[n], Poly.zero())
-                continue
-            for scheme in (
-                WeightScheme.MOMENT_NONNESTED,
-                WeightScheme.MOMENT_NO_RIGHT_CROSSING,
-                WeightScheme.MOMENT_NO_LEFT_CROSSING,
-            ):
-                rec.check(
-                    f"mu_{n} via {scheme.value} matchings",
-                    moment_via_matchings(n, scheme),
-                    mu,
-                )
-            rec.check(f"mu_{n} via continued fraction", plain[n], mu)
+    rec.check("mu_0", moment(0), Poly.one())
+    rec.check("mu_2", moment(2), C)
+    rec.check("mu_4", moment(4), 2 * C**2 + C)
+    rec.check("mu_6", moment(6), 5 * C**3 + 7 * C**2 + 3 * C)
+    rec.check("mu_2 shifted", moment(2).shift_c(), C + 1)
+    rec.check("mu_4 shifted", moment(4).shift_c(), 2 * C**2 + 5 * C + 3)
+    rec.check(
+        "mu_6 shifted",
+        moment(6).shift_c(),
+        5 * C**3 + 22 * C**2 + 32 * C + 15,
+    )
+    order = 12
+    plain = moment_series(order // 2 + 1, order, shifted=False)
+    shifted = moment_series(order // 2 + 1, order, shifted=True)
+    for n in range(order + 1):
+        mu = moment(n)
+        if n % 2:
+            rec.check(f"mu_{n} vanishes", mu, Poly.zero())
+            rec.check(f"series coefficient t^{n}", plain[n], Poly.zero())
+            continue
+        for scheme in (
+            WeightScheme.MOMENT_NONNESTED,
+            WeightScheme.MOMENT_NO_RIGHT_CROSSING,
+            WeightScheme.MOMENT_NO_LEFT_CROSSING,
+        ):
             rec.check(
-                f"mu_{n} shifted via continued fraction",
-                shifted[n],
-                mu.shift_c(),
+                f"mu_{n} via {scheme.value} matchings",
+                moment_via_matchings(n, scheme),
+                mu,
             )
+        rec.check(f"mu_{n} via continued fraction", plain[n], mu)
+        rec.check(
+            f"mu_{n} shifted via continued fraction",
+            shifted[n],
+            mu.shift_c(),
+        )
 
-    return _run("moment tables", body)
 
-
-def suite_orthogonality() -> RunReport:
+@_suite("orthogonality")
+def suite_orthogonality(rec: RunReport) -> None:
     """The moment functional kills off-diagonal products and sends the
     diagonal to a rising factorial; paired matchings sum to the same."""
-
-    def body(rec: _Recorder) -> None:
-        for n in range(9):
-            for m in range(9):
-                expected = rising_factorial(C, n) if n == m else Poly.zero()
-                rec.check(f"inner product ({n},{m})", inner_product(n, m), expected)
-        for n in range(11):
-            for m in range(11 - n):
-                total = _gf(enumerate_paired(n, m), paired_weight)
-                expected = rising_factorial(C, n) if n == m else Poly.zero()
-                rec.check(f"paired matching sum ({n},{m})", total, expected)
-
-    return _run("orthogonality", body)
+    for n in range(9):
+        for m in range(9):
+            expected = rising_factorial(C, n) if n == m else Poly.zero()
+            rec.check(f"inner product ({n},{m})", inner_product(n, m), expected)
+    for n in range(11):
+        for m in range(11 - n):
+            total = _gf(enumerate_paired(n, m), paired_weight)
+            expected = rising_factorial(C, n) if n == m else Poly.zero()
+            rec.check(f"paired matching sum ({n},{m})", total, expected)
 
 
-def suite_involution() -> RunReport:
+@_suite("involution")
+def suite_involution(rec: RunReport) -> None:
     """The recoloring involution has fixed points only on the diagonal,
     where they read as permutations.  Weight negation needs the bigger
     block on the left (n >= m): with the blocks the other way around a
     spanning cross-block edge can cut across the flipped edge from the
     left, and the flip then changes the magnitude of the weight, not just
     its sign.  The sums still cancel; only the pointwise pairing breaks."""
-
-    def body(rec: _Recorder) -> None:
-        for n in range(9):
-            for m in range(9 - n):
-                fixed_perms = []
-                for pm in enumerate_paired(n, m):
-                    e = flip_candidate(pm)
-                    if e is None:
-                        rec.ensure(f"fixed point only on diagonal: {pm}", n == m)
-                        rec.check(f"fixed point all green: {pm}", pm.black, ())
-                        pi = paired_to_permutation(pm)
-                        rec.check(
-                            f"fixed point weight: {pm}",
-                            paired_weight(pm),
-                            Poly.monomial(0, left_to_right_maxima(pi)),
-                        )
-                        fixed_perms.append(pi)
-                        continue
-                    image = orthogonality_involution(pm)
-                    rec.ensure(f"involution moves {pm}", image != pm)
-                    rec.check(f"involution order two on {pm}",
-                              orthogonality_involution(image), pm)
-                    if n >= m:
-                        rec.check(f"involution negates weight of {pm}",
-                                  paired_weight(image), -paired_weight(pm))
-                if n == m:
+    for n in range(9):
+        for m in range(9 - n):
+            fixed_perms = []
+            for pm in enumerate_paired(n, m):
+                e = flip_candidate(pm)
+                if e is None:
+                    rec.ensure(f"fixed point only on diagonal: {pm}", n == m)
+                    rec.check(f"fixed point all green: {pm}", pm.black, ())
+                    pi = paired_to_permutation(pm)
                     rec.check(
-                        f"fixed points of ({n},{n}) are the {n}! permutations",
-                        sorted(fixed_perms),
-                        sorted(itertools.permutations(range(1, n + 1))),
+                        f"fixed point weight: {pm}",
+                        paired_weight(pm),
+                        Poly.monomial(0, left_to_right_maxima(pi)),
                     )
-        for n in range(7):
-            perms = list(itertools.permutations(range(1, n + 1)))
-            by_lrm = _gf(perms, lambda pi: Poly.monomial(0, left_to_right_maxima(pi)))
-            by_cycles = _gf(perms, lambda pi: Poly.monomial(0, cycle_count(pi)))
-            rec.check(f"sum of c^lrm over S_{n}", by_lrm, rising_factorial(C, n))
-            rec.check(f"sum of c^cycles over S_{n}", by_cycles, rising_factorial(C, n))
+                    fixed_perms.append(pi)
+                    continue
+                image = orthogonality_involution(pm)
+                rec.ensure(f"involution moves {pm}", image != pm)
+                rec.check(f"involution order two on {pm}",
+                          orthogonality_involution(image), pm)
+                if n >= m:
+                    rec.check(f"involution negates weight of {pm}",
+                              paired_weight(image), -paired_weight(pm))
+            if n == m:
+                rec.check(
+                    f"fixed points of ({n},{n}) are the {n}! permutations",
+                    sorted(fixed_perms),
+                    sorted(itertools.permutations(range(1, n + 1))),
+                )
+    for n in range(7):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        by_lrm = _gf(perms, lambda pi: Poly.monomial(0, left_to_right_maxima(pi)))
+        by_cycles = _gf(perms, lambda pi: Poly.monomial(0, cycle_count(pi)))
+        rec.check(f"sum of c^lrm over S_{n}", by_lrm, rising_factorial(C, n))
+        rec.check(f"sum of c^cycles over S_{n}", by_cycles, rising_factorial(C, n))
 
-        # Pinned witness for the n >= m restriction: with the single-vertex
-        # block on the left, flipping (2,5) sends weight +c to -c^2.
-        pm = PairedMatching(1, 5, (), ((1, 3), (2, 5), (4, 6)))
-        rec.check("n < m witness weight", paired_weight(pm), Poly.monomial(0, 1))
-        rec.check("n < m witness flips (2,5)", flip_candidate(pm), (2, 5))
-        rec.check("n < m witness image weight",
-                  paired_weight(orthogonality_involution(pm)),
-                  -Poly.monomial(0, 2))
-
-    return _run("involution", body)
+    # Pinned witness for the n >= m restriction: with the single-vertex
+    # block on the left, flipping (2,5) sends weight +c to -c^2.
+    pm = PairedMatching(1, 5, (), ((1, 3), (2, 5), (4, 6)))
+    rec.check("n < m witness weight", paired_weight(pm), Poly.monomial(0, 1))
+    rec.check("n < m witness flips (2,5)", flip_candidate(pm), (2, 5))
+    rec.check("n < m witness image weight",
+              paired_weight(orthogonality_involution(pm)),
+              -Poly.monomial(0, 2))
 
 
-def suite_linearization() -> RunReport:
+@_suite("linearization")
+def suite_linearization(rec: RunReport) -> None:
     """Product expansion coefficients: the identity itself, integrality and
     nonnegativity, the hypergeometric form, and the c = 1 specialization
     counted by three-block matchings."""
-
-    def body(rec: _Recorder) -> None:
-        for big_n in range(7):
-            for big_m in range(7):
-                rec.ensure(
-                    f"linearization identity ({big_n},{big_m})",
-                    verify_linearization(big_n, big_m),
-                )
-        for big_n in range(9):
-            for big_m in range(9):
-                for j in range(min(big_n, big_m) + 1):
-                    p = linearization_coefficient(big_n, big_m, j)
-                    rec.ensure(
-                        f"coefficient ({big_n},{big_m},{j}) is a nonnegative "
-                        "integer polynomial in c",
-                        all(
-                            xd == 0 and q.denominator == 1 and q >= 0
-                            for (xd, cd), q in p.terms.items()
-                        ),
-                    )
-        for big_n in range(7):
-            for big_m in range(7):
-                for j in range(min(big_n, big_m) + 1):
-                    p = linearization_coefficient(big_n, big_m, j)
-                    for cv in range(1, 11):
-                        rec.check(
-                            f"hypergeometric form ({big_n},{big_m},{j}) at c={cv}",
-                            linearization_coefficient_hypergeometric(
-                                big_n, big_m, j, Fraction(cv)
-                            ),
-                            p.evaluate(c_value=cv),
-                        )
-        for big_n in range(9):
-            for big_m in range(9):
-                for j in range(min(big_n, big_m) + 1):
-                    closed = (
-                        rising_factorial_value(big_n + 1 - j, j)
-                        * rising_factorial_value(big_m + 1 - j, j)
-                        / factorial(j)
-                    )
-                    rec.check(
-                        f"coefficient ({big_n},{big_m},{j}) at c=1",
-                        linearization_coefficient(big_n, big_m, j).evaluate(c_value=1),
-                        closed,
-                    )
-        for big_n in range(9):
-            for big_m in range(9 - big_n):
-                for j in range(min(big_n, big_m) + 1):
-                    rest = big_n + big_m - 2 * j
-                    count = inhomogeneous_gf(
-                        (big_n, big_m, rest), WeightScheme.MOMENT_NONNESTED
-                    ).evaluate(c_value=1)
-                    rec.check(
-                        f"three-block matchings ({big_n},{big_m},{rest})",
-                        count,
-                        linearization_coefficient(big_n, big_m, j).evaluate(c_value=1)
-                        * factorial(rest),
-                    )
-
-    return _run("linearization", body)
-
-
-def suite_published_values() -> RunReport:
-    """Frozen closed forms for small products of the polynomials."""
-
-    def body(rec: _Recorder) -> None:
-        cube = C**3 + 4 * C**2 + 3 * C
-        rec.check("functional of the cubed quadratic", product_functional((2, 2, 2)), cube)
-        rec.check(
-            "no-right-crossing blocks (2,2,2)",
-            inhomogeneous_gf((2, 2, 2), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
-            cube,
-        )
-        rec.check(
-            "nonnested blocks (2,2,2)",
-            inhomogeneous_gf((2, 2, 2), WeightScheme.MOMENT_NONNESTED),
-            2 * C**3 + 4 * C**2 + 2 * C,
-        )
-        value_334 = C * (C + 1) * (C + 2) * (C + 3) * (C + 8)
-        rec.check("functional of the (3,3,4) product", product_functional((3, 3, 4)), value_334)
-        rec.check(
-            "no-right-crossing blocks (3,3,4)",
-            inhomogeneous_gf((3, 3, 4), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
-            value_334,
-        )
-        rec.check(
-            "no-right-crossing blocks (3,4,3)",
-            inhomogeneous_gf((3, 4, 3), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
-            C * (C + 1) * (C + 2) * (C**2 + 7 * C + 28),
-        )
-        rec.check(
-            "no-right-crossing blocks (4,3,3)",
-            inhomogeneous_gf((4, 3, 3), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
-            C * (C + 1) * (C + 2) * (C**2 + 8 * C + 27),
-        )
-        rec.check(
-            "nonnested blocks (3,4,3)",
-            inhomogeneous_gf((3, 4, 3), WeightScheme.MOMENT_NONNESTED),
-            6 * C * (C + 1) ** 2 * (C + 2) ** 2,
-        )
-        for sizes in ((3, 3, 4), (4, 3, 3)):
-            rec.check(
-                f"nonnested blocks {sizes}",
-                inhomogeneous_gf(sizes, WeightScheme.MOMENT_NONNESTED),
-                3 * C * (C + 1) * (C + 2) ** 2 * (C + 3),
+    for big_n in range(7):
+        for big_m in range(7):
+            rec.ensure(
+                f"linearization identity ({big_n},{big_m})",
+                verify_linearization(big_n, big_m),
             )
+    for big_n in range(9):
+        for big_m in range(9):
+            for j in range(min(big_n, big_m) + 1):
+                p = linearization_coefficient(big_n, big_m, j)
+                rec.ensure(
+                    f"coefficient ({big_n},{big_m},{j}) is a nonnegative "
+                    "integer polynomial in c",
+                    all(
+                        xd == 0 and q.denominator == 1 and q >= 0
+                        for (xd, cd), q in p.terms.items()
+                    ),
+                )
+    for big_n in range(7):
+        for big_m in range(7):
+            for j in range(min(big_n, big_m) + 1):
+                p = linearization_coefficient(big_n, big_m, j)
+                for cv in range(1, 11):
+                    rec.check(
+                        f"hypergeometric form ({big_n},{big_m},{j}) at c={cv}",
+                        linearization_coefficient_hypergeometric(
+                            big_n, big_m, j, Fraction(cv)
+                        ),
+                        p.evaluate(c_value=cv),
+                    )
+    for big_n in range(9):
+        for big_m in range(9):
+            for j in range(min(big_n, big_m) + 1):
+                closed = (
+                    rising_factorial_value(big_n + 1 - j, j)
+                    * rising_factorial_value(big_m + 1 - j, j)
+                    / factorial(j)
+                )
+                rec.check(
+                    f"coefficient ({big_n},{big_m},{j}) at c=1",
+                    linearization_coefficient(big_n, big_m, j).evaluate(c_value=1),
+                    closed,
+                )
+    for big_n in range(9):
+        for big_m in range(9 - big_n):
+            for j in range(min(big_n, big_m) + 1):
+                rest = big_n + big_m - 2 * j
+                count = inhomogeneous_gf(
+                    (big_n, big_m, rest), WeightScheme.MOMENT_NONNESTED
+                ).evaluate(c_value=1)
+                rec.check(
+                    f"three-block matchings ({big_n},{big_m},{rest})",
+                    count,
+                    linearization_coefficient(big_n, big_m, j).evaluate(c_value=1)
+                    * factorial(rest),
+                )
 
-    return _run("published values", body)
+
+@_suite("published values")
+def suite_published_values(rec: RunReport) -> None:
+    """Frozen closed forms for small products of the polynomials."""
+    cube = C**3 + 4 * C**2 + 3 * C
+    rec.check("functional of the cubed quadratic", product_functional((2, 2, 2)), cube)
+    rec.check(
+        "no-right-crossing blocks (2,2,2)",
+        inhomogeneous_gf((2, 2, 2), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
+        cube,
+    )
+    rec.check(
+        "nonnested blocks (2,2,2)",
+        inhomogeneous_gf((2, 2, 2), WeightScheme.MOMENT_NONNESTED),
+        2 * C**3 + 4 * C**2 + 2 * C,
+    )
+    value_334 = C * (C + 1) * (C + 2) * (C + 3) * (C + 8)
+    rec.check("functional of the (3,3,4) product", product_functional((3, 3, 4)), value_334)
+    rec.check(
+        "no-right-crossing blocks (3,3,4)",
+        inhomogeneous_gf((3, 3, 4), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
+        value_334,
+    )
+    rec.check(
+        "no-right-crossing blocks (3,4,3)",
+        inhomogeneous_gf((3, 4, 3), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
+        C * (C + 1) * (C + 2) * (C**2 + 7 * C + 28),
+    )
+    rec.check(
+        "no-right-crossing blocks (4,3,3)",
+        inhomogeneous_gf((4, 3, 3), WeightScheme.MOMENT_NO_RIGHT_CROSSING),
+        C * (C + 1) * (C + 2) * (C**2 + 8 * C + 27),
+    )
+    rec.check(
+        "nonnested blocks (3,4,3)",
+        inhomogeneous_gf((3, 4, 3), WeightScheme.MOMENT_NONNESTED),
+        6 * C * (C + 1) ** 2 * (C + 2) ** 2,
+    )
+    for sizes in ((3, 3, 4), (4, 3, 3)):
+        rec.check(
+            f"nonnested blocks {sizes}",
+            inhomogeneous_gf(sizes, WeightScheme.MOMENT_NONNESTED),
+            3 * C * (C + 1) * (C + 2) ** 2 * (C + 3),
+        )
 
 
-def suite_mixed() -> RunReport:
+@_suite("mixed products")
+def suite_mixed(rec: RunReport) -> None:
     """Expansion of an associated polynomial times a plain Hermite one,
     valid whenever the first index is at least the second minus one."""
-
-    def body(rec: _Recorder) -> None:
-        for n in range(9):
-            for m in range(n + 2):
-                rec.ensure(f"mixed identity ({n},{m})", verify_mixed(n, m))
-                bound = min(m, (n + m) // 2)
-                for k in (bound + 1, bound + 2):
-                    rec.ensure(
-                        f"mixed term ({n},{m},{k}) beyond the range vanishes",
-                        mixed_coefficient(n, m, k).is_zero() or n + m - 2 * k < 0,
-                    )
-        rec.check("mixed residual (0,2)", mixed_residual(0, 2), Poly.one() - C)
-        rec.ensure("mixed identity fails at (0,2)", not verify_mixed(0, 2))
-        rec.ensure("mixed identity fails at (1,3)", not verify_mixed(1, 3))
-
-    return _run("mixed products", body)
+    for n in range(9):
+        for m in range(n + 2):
+            rec.ensure(f"mixed identity ({n},{m})", verify_mixed(n, m))
+            bound = min(m, (n + m) // 2)
+            for k in (bound + 1, bound + 2):
+                rec.ensure(
+                    f"mixed term ({n},{m},{k}) beyond the range vanishes",
+                    mixed_coefficient(n, m, k).is_zero() or n + m - 2 * k < 0,
+                )
+    rec.check("mixed residual (0,2)", mixed_residual(0, 2), Poly.one() - C)
+    rec.ensure("mixed identity fails at (0,2)", not verify_mixed(0, 2))
+    rec.ensure("mixed identity fails at (1,3)", not verify_mixed(1, 3))
 
 
-def suite_polynomial_models() -> RunReport:
+@_suite("polynomial models")
+def suite_polynomial_models(rec: RunReport) -> None:
     """The shifted polynomials expand over the plain Hermite basis with
     anchored-configuration coefficients; the marker-edge matchings and the
     two-row matchings generate what they should."""
-
-    def body(rec: _Recorder) -> None:
-        for n in range(11):
+    for n in range(11):
+        rec.check(
+            f"basis expansion degree {n}",
+            associated_in_hermite_basis(n),
+            associated_hermite(n).shift_c(),
+        )
+        rec.check(
+            f"matchings model degree {n}",
+            associated_hermite_matchings(n),
+            associated_hermite(n),
+        )
+    for n in range(9):
+        rec.check(
+            f"marker-edge model degree {n}",
+            marker_edge_model(n),
+            associated_hermite(n).shift_c(),
+        )
+    for k in range(5):
+        sign = -1 if k % 2 else 1
+        rec.check(
+            f"anchored configurations on {2 * k} vertices",
+            anchored_config_gf(k),
+            sign * rising_factorial(C, k),
+        )
+        for cfg in enumerate_anchored_configs(k):
             rec.check(
-                f"basis expansion degree {n}",
-                associated_in_hermite_basis(n),
-                associated_hermite(n).shift_c(),
+                f"insertion slots of {cfg.matching}",
+                anchored_config_slots(cfg),
+                (k, 1),
             )
-            rec.check(
-                f"matchings model degree {n}",
-                associated_hermite_matchings(n),
-                associated_hermite(n),
-            )
-        for n in range(9):
-            rec.check(
-                f"marker-edge model degree {n}",
-                marker_edge_model(n),
-                associated_hermite(n).shift_c(),
-            )
-        for k in range(5):
-            sign = -1 if k % 2 else 1
-            rec.check(
-                f"anchored configurations on {2 * k} vertices",
-                anchored_config_gf(k),
-                sign * rising_factorial(C, k),
-            )
-            for cfg in enumerate_anchored_configs(k):
-                rec.check(
-                    f"insertion slots of {cfg.matching}",
-                    anchored_config_slots(cfg),
-                    (k, 1),
-                )
-        for n in range(1, 7):
-            expected = rising_factorial(C + 1, n - 1)
-            rec.check(f"two-row matchings on [{n}]+[{n}]", two_row_matching_gf(n), expected)
-            total = _gf(
-                itertools.permutations(range(1, n + 1)),
-                lambda pi: Poly.monomial(0, left_to_right_maxima(pi) - 1),
-            )
-            rec.check(f"sum of c^(lrm-1) over S_{n}", total, expected)
-
-    return _run("polynomial models", body)
+    for n in range(1, 7):
+        expected = rising_factorial(C + 1, n - 1)
+        rec.check(f"two-row matchings on [{n}]+[{n}]", two_row_matching_gf(n), expected)
+        total = _gf(
+            itertools.permutations(range(1, n + 1)),
+            lambda pi: Poly.monomial(0, left_to_right_maxima(pi) - 1),
+        )
+        rec.check(f"sum of c^(lrm-1) over S_{n}", total, expected)
 
 
-def _tableau_part(rec: _Recorder) -> None:
+def _tableau_part(rec: RunReport) -> None:
     worked = Matching.from_text("(1,3)(2,6)(4,8)(5,7)")
     t = matching_to_tableau(worked)
     rec.check("worked tableau", t.to_text(), "-;1;11;1;11;21;2;1;-")
@@ -506,12 +493,11 @@ def _tableau_part(rec: _Recorder) -> None:
             )
     for half in range(1, 5):
         for m in enumerate_complete(2 * half):
-            by_right = sorted(m.edges, key=lambda e: e[1], reverse=True)
-            edge_by_label = {i + 1: e for i, e in enumerate(by_right)}
-            label_of = {e: lab for lab, e in edge_by_label.items()}
+            labels = _edge_labels(m)
+            edge_by_label = {labels[a]: (a, b) for a, b in m.edges}
             fillings = forward_fillings(m)
             for a, b in m.edges:
-                lab = label_of[(a, b)]
+                lab = labels[a]
                 present = {v for row in fillings[a - 1] for v in row}
                 for s in present:
                     ea, eb = edge_by_label[s]
@@ -525,20 +511,13 @@ def _tableau_part(rec: _Recorder) -> None:
                             f"label {s} crosses label {lab} from the left in {m}",
                             ea < a < eb < b,
                         )
-            deep_col = {lab: False for lab in edge_by_label}
-            deep_row = {lab: False for lab in edge_by_label}
-            for filling in fillings:
-                for ri, row in enumerate(filling):
-                    for ci, v in enumerate(row):
-                        if ci >= 1:
-                            deep_col[v] = True
-                        if ri >= 1:
-                            deep_row[v] = True
-            for lab, e in edge_by_label.items():
-                stats = edge_stats(m, e)
+            depths = _label_depths(fillings)
+            for lab in sorted(edge_by_label):
+                deep_row, deep_col = depths[lab]
+                stats = edge_stats(m, edge_by_label[lab])
                 rec.check(
                     f"label {lab} leaves column one in {m}",
-                    deep_col[lab],
+                    deep_col > 0,
                     stats.is_nested_by_other,
                 )
                 # Only one direction survives for rows: a bumped label was
@@ -546,11 +525,11 @@ def _tableau_part(rec: _Recorder) -> None:
                 # be the one that gets bumped.
                 rec.ensure(
                     f"label {lab} leaving row one implies a right crossing in {m}",
-                    stats.has_right_crossing or not deep_row[lab],
+                    stats.has_right_crossing or not deep_row,
                 )
 
 
-def _map_part(rec: _Recorder) -> None:
+def _map_part(rec: RunReport) -> None:
     for e_count, expected_count in ((0, 1), (1, 2), (2, 10), (3, 74)):
         maps = list(enumerate_rooted_maps(e_count))
         rec.check(f"rooted maps with {e_count} edges", len(maps), expected_count)
@@ -595,7 +574,7 @@ def _map_part(rec: _Recorder) -> None:
     rec.check("worked traversal tags", connected_matching_tags(wm), frozenset({(2, 11), (4, 12)}))
 
 
-def _tail_swap_part(rec: _Recorder) -> None:
+def _tail_swap_part(rec: RunReport) -> None:
     for n in (2, 4, 6, 8, 10):
         outputs = set()
         connected_count = 0
@@ -648,36 +627,31 @@ def _tail_swap_part(rec: _Recorder) -> None:
     rec.check("worked map tail swap tags", tags, frozenset({(1, 4), (3, 10)}))
 
 
-def suite_bijections() -> RunReport:
+@_suite("bijections")
+def suite_bijections(rec: RunReport) -> None:
     """Oscillating tableaux, rooted-map traversals, and the tail swap are
     weight-respecting bijections on their full desk-scale domains."""
-
-    def body(rec: _Recorder) -> None:
-        _tableau_part(rec)
-        _map_part(rec)
-        _tail_swap_part(rec)
-
-    return _run("bijections", body)
+    _tableau_part(rec)
+    _map_part(rec)
+    _tail_swap_part(rec)
 
 
-def suite_chebyshev() -> RunReport:
+@_suite("chebyshev limit")
+def suite_chebyshev(rec: RunReport) -> None:
     """Rescaling by the square root of c and letting c grow turns the
     polynomials into Chebyshev ones."""
-
-    def body(rec: _Recorder) -> None:
-        for n in range(9):
-            u = chebyshev_u(n)
-            rec.check(f"rescaled limit at degree {n}", chebyshev_limit(n), u)
-            rec.check(f"adjacent-edge matchings at degree {n}", chebyshev_u_matchings(n), u)
-            rec.ensure(
-                f"rescaled exponents stay nonpositive at degree {n}",
-                all(shift <= 0 for _, shift in chebyshev_rescaled_terms(n)),
-            )
-
-    return _run("chebyshev limit", body)
+    for n in range(9):
+        u = chebyshev_u(n)
+        rec.check(f"rescaled limit at degree {n}", chebyshev_limit(n), u)
+        rec.check(f"adjacent-edge matchings at degree {n}", chebyshev_u_matchings(n), u)
+        rec.ensure(
+            f"rescaled exponents stay nonpositive at degree {n}",
+            all(shift <= 0 for _, shift in chebyshev_rescaled_terms(n)),
+        )
 
 
-def suite_conjecture() -> RunReport:
+@_suite("linearization conjecture")
+def suite_conjecture(rec: RunReport) -> None:
     """Sweep the product-functional-versus-matchings conjecture over every
     block multiset with total size at most ten.
 
@@ -702,53 +676,44 @@ def suite_conjecture() -> RunReport:
     def from_coeffs(coeffs: tuple[int, ...]) -> Poly:
         return Poly({(0, 5 - i): q for i, q in enumerate(coeffs)})
 
-    def body(rec: _Recorder) -> None:
-        seen = set()
-        for report in conjecture_sweep(10):
-            if report.sizes in separated:
-                seen.add(report.sizes)
-                lhs, rhs = separated[report.sizes]
-                rec.ensure(f"sides separate at block sizes {report.sizes}",
-                           not report.match)
-                rec.check(f"functional side at {report.sizes}",
-                          report.lhs, from_coeffs(lhs))
-                rec.check(f"matching side at {report.sizes}",
-                          report.rhs, from_coeffs(rhs))
-                rec.check(f"gap at {report.sizes}", report.lhs - report.rhs, gap)
-                rec.check(f"gap closes at c = 1 for {report.sizes}",
-                          (report.lhs - report.rhs).evaluate(c_value=1),
-                          Fraction(0))
-            else:
-                rec.ensure(f"conjecture at block sizes {report.sizes}", report.match)
-        rec.check("all four separating multisets visited",
-                  sorted(seen), sorted(separated))
-
-    return _run("linearization conjecture", body)
+    seen = set()
+    for report in conjecture_sweep(10):
+        if report.sizes in separated:
+            seen.add(report.sizes)
+            lhs, rhs = separated[report.sizes]
+            rec.ensure(f"sides separate at block sizes {report.sizes}",
+                       not report.match)
+            rec.check(f"functional side at {report.sizes}",
+                      report.lhs, from_coeffs(lhs))
+            rec.check(f"matching side at {report.sizes}",
+                      report.rhs, from_coeffs(rhs))
+            rec.check(f"gap at {report.sizes}", report.lhs - report.rhs, gap)
+            rec.check(f"gap closes at c = 1 for {report.sizes}",
+                      (report.lhs - report.rhs).evaluate(c_value=1),
+                      Fraction(0))
+        else:
+            rec.ensure(f"conjecture at block sizes {report.sizes}", report.match)
+    rec.check("all four separating multisets visited",
+              sorted(seen), sorted(separated))
 
 
-def suite_moment_sequence() -> RunReport:
+@_suite("shifted moment sequence")
+def suite_moment_sequence(rec: RunReport) -> None:
     """Shifted even moments at c = 1 count indecomposable matchings."""
-
-    def body(rec: _Recorder) -> None:
-        rec.check(
-            "shifted moments at c=1",
-            [moment(2 * k).shift_c().evaluate(c_value=1) for k in range(1, 6)],
-            [Fraction(v) for v in (2, 10, 74, 706, 8162)],
-        )
-
-    return _run("shifted moment sequence", body)
+    rec.check(
+        "shifted moments at c=1",
+        [moment(2 * k).shift_c().evaluate(c_value=1) for k in range(1, 6)],
+        [Fraction(v) for v in (2, 10, 74, 706, 8162)],
+    )
 
 
-def suite_maps_extended() -> RunReport:
+@_suite("rooted maps, extended")
+def suite_maps_extended(rec: RunReport) -> None:
     """The four-edge rooted-map census, the one suite of the extended level."""
-
-    def body(rec: _Recorder) -> None:
-        maps = list(enumerate_rooted_maps(4))
-        rec.check("rooted maps with 4 edges", len(maps), 706)
-        gf = _gf(maps, RootedMap.weight)
-        rec.check("rooted-map generating function, 4 edges", gf, moment(8).shift_c())
-
-    return _run("rooted maps, extended", body)
+    maps = list(enumerate_rooted_maps(4))
+    rec.check("rooted maps with 4 edges", len(maps), 706)
+    gf = _gf(maps, RootedMap.weight)
+    rec.check("rooted-map generating function, 4 edges", gf, moment(8).shift_c())
 
 
 DESK_SUITES: tuple[Callable[[], RunReport], ...] = (

@@ -138,6 +138,7 @@ def test_raised_cap_warns_only_where_it_bounds_an_enumeration(capsys, argv, warn
         ["linearize", "226", "225"],
         ["linearize", "300", "300"],
         ["bijection", "quadruples", "6"],
+        ["poly", "marker-edge", "15"],
     ],
 )
 def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
@@ -145,6 +146,12 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds" in err
+
+
+def test_marker_edge_refusal_counts_the_two_marker_vertices(capsys):
+    # The marker-edge model of degree n enumerates matchings on n + 2 vertices.
+    rc, out, err = run(capsys, "poly", "marker-edge", "15")
+    assert (rc, out, err) == (2, "", "error: n=17 exceeds the enumeration cap 16\n")
 
 
 @pytest.mark.parametrize(

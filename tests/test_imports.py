@@ -1,0 +1,54 @@
+"""Every name a library module imports is used somewhere in that module.
+
+The package's `__init__.py` imports names only to re-export them, so it is
+not checked.  A name used only in an annotation counts as used, also when
+the annotation is a string.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    path
+    for path in (Path(__file__).resolve().parents[1] / "src" / "assoc_hermite").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names bound by the module's imports, with their line numbers."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, string annotations parsed as code."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= referenced_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = referenced_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"

@@ -1,6 +1,7 @@
 """Tests for rooted one-vertex-marked maps and the tail swap bijection."""
 
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -87,6 +88,49 @@ def test_generating_function_is_shifted_moment():
     for edges in range(5):
         gf = sum((rm.weight() for rm in enumerate_rooted_maps(edges)), Poly.zero())
         assert gf == moment(2 * edges).shift_c()
+
+
+def cycles(perm) -> int:
+    """The number of cycles of a permutation of range(len(perm))."""
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            count += 1
+            h = start
+            while h not in seen:
+                seen.add(h)
+                h = perm[h]
+    return count
+
+
+# Rooted maps by genus (Walsh and Lehman), E = 0..5 edges.
+GENUS_COUNTS = {
+    0: [1, 2, 9, 54, 378, 2916],
+    1: [0, 0, 1, 20, 307, 4280],
+    2: [0, 0, 0, 0, 21, 966],
+}
+
+
+def test_rooted_maps_by_genus():
+    # Vertices are the cycles of the rotation and faces those of
+    # rotation∘pairing; Euler's formula V - E + F = 2 - 2g gives the genus.
+    for edges in range(len(MAP_COUNTS)):
+        by_genus = {g: 0 for g in GENUS_COUNTS}
+        by_vertices_faces = {}
+        for rm in enumerate_rooted_maps(edges):
+            v = max(1, cycles(rm.rotation))
+            f = max(1, cycles([rm.rotation[p] for p in rm.pairing]))
+            genus, odd = divmod(2 - v + edges - f, 2)
+            assert odd == 0
+            by_genus[genus] += 1
+            by_vertices_faces[v, f] = by_vertices_faces.get((v, f), 0) + 1
+        assert by_genus == {g: counts[edges] for g, counts in GENUS_COUNTS.items()}
+        # Tutte's census of rooted planar maps.
+        assert by_genus[0] == 2 * 3**edges * factorial(2 * edges) // (
+            factorial(edges) * factorial(edges + 2)
+        )
+        # Duality swaps vertices and faces.
+        assert all(by_vertices_faces.get((f, v)) == n for (v, f), n in by_vertices_faces.items())
 
 
 def test_loop_map():

@@ -87,6 +87,15 @@ def test_paired_sum_reproduces_inner_product():
             assert total == inner_product(n, m)
 
 
+def test_enumerate_paired_is_guarded_by_the_complete_enumerator():
+    # An odd total yields nothing, even past the cap; an even one past the
+    # cap is refused by enumerate_complete on the first next().
+    assert list(enumerate_paired(9, 8)) == []
+    paired = enumerate_paired(9, 9)
+    with pytest.raises(ValueError, match="^n=18 exceeds the enumeration cap 16$"):
+        next(paired)
+
+
 def test_fixed_points_only_on_the_diagonal():
     for n in range(5):
         for m in range(5):

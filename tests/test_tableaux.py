@@ -13,6 +13,8 @@ from assoc_hermite.moments import moment
 from assoc_hermite.polynomials import Poly
 from assoc_hermite.tableaux import (
     OscillatingTableau,
+    _edge_labels,
+    _step,
     enumerate_tableaux,
     forward_fillings,
     matching_to_tableau,
@@ -175,3 +177,79 @@ def test_column_depth_matches_nesting():
                         deepest[v] = max(deepest.get(v, 0), ci)
             for i, e in enumerate(by_right):
                 assert (deepest[i + 1] > 0) == edge_stats(m, e).is_nested_by_other
+
+
+# ----- the earlier per-label scans, kept as oracles for _step and _label_depths -----
+
+
+def reference_step_size(prev, cur):
+    """+1 for one box added, -1 for one removed; anything else is invalid."""
+    if len(cur) == len(prev) + 1 and cur[:-1] == prev and cur[-1] == 1:
+        return 1
+    if len(prev) == len(cur) + 1 and prev[:-1] == cur and prev[-1] == 1:
+        return -1
+    if len(prev) != len(cur):
+        return 0
+    diffs = [(i, b - a) for i, (a, b) in enumerate(zip(prev, cur)) if a != b]
+    if len(diffs) != 1 or abs(diffs[0][1]) != 1:
+        return 0
+    return diffs[0][1]
+
+
+def reference_step_row(prev, cur):
+    """The row of a valid step: the first row in which the bigger shape differs."""
+    big, small = (prev, cur) if reference_step_size(prev, cur) == -1 else (cur, prev)
+    return next(i for i in range(len(big)) if i >= len(small) or big[i] != small[i])
+
+
+def reference_tableau_weight(t, statistic):
+    """Count the labels that never leave column 1 (or row 1), one label at a time."""
+    m = tableau_to_matching(t)
+    fillings = forward_fillings(m)
+    confined = 0
+    for label in set(_edge_labels(m).values()):
+        ok = True
+        for f in fillings:
+            for i, row in enumerate(f):
+                if label in row:
+                    if statistic == "column" and row.index(label) > 0:
+                        ok = False
+                    if statistic == "row" and i > 0:
+                        ok = False
+        confined += ok
+    return Poly.monomial(0, confined)
+
+
+def test_tableau_weight_matches_the_per_label_scan():
+    count = 0
+    for n in range(0, 11, 2):
+        for m in enumerate_complete(n):
+            t = matching_to_tableau(m)
+            for statistic in ("column", "row"):
+                assert tableau_weight(t, statistic) == reference_tableau_weight(t, statistic)
+            count += 1
+    assert count == 1070
+
+
+def test_step_matches_the_size_and_row_scans():
+    pairs = set()
+    for length in range(0, 9, 2):
+        for t in enumerate_tableaux(length):
+            for prev, cur in zip(t.shapes, t.shapes[1:]):
+                pairs.update({(prev, cur), (cur, prev)})
+    for prev, cur in pairs:
+        direction = reference_step_size(prev, cur)
+        assert direction != 0
+        assert _step(prev, cur) == (direction, reference_step_row(prev, cur))
+    invalid = [
+        ((2, 1), (3, 2)),  # two boxes change
+        ((1, 1), (2, 2)),
+        ((2, 1), (2, 1)),  # equal shapes
+        ((), ()),
+        ((2,), (2, 2)),  # a new row whose last part is bigger than 1
+        ((3, 2), (3,)),
+        ((), (2,)),
+    ]
+    for prev, cur in invalid:
+        assert reference_step_size(prev, cur) == 0
+        assert _step(prev, cur) == (0, -1)
