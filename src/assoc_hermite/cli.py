@@ -23,7 +23,7 @@ from .maps import (
     tail_swap,
     tail_swap_inverse,
 )
-from .matchings import DEFAULT_CAP, Matching, WeightScheme
+from .matchings import Matching, WeightScheme
 from .models import (
     associated_hermite,
     associated_hermite_matchings,
@@ -53,14 +53,18 @@ GENERATORS = (
     "chebyshev-limit",
 )
 
-# Commands refuse sizes past these caps instead of running for many minutes.
-# H_n(x; c) and every `poly` generator that does not enumerate cost
-# roughly cubic time in n through Fraction arithmetic,
-# moment(k) enumerates Dyck paths and takes about 15 s at k = 20 (Python
-# 3.11 on a shared 2-core host), and
-# `quadruples` translates every rooted map (8,162 of them at 5 edges).
+# Each command refuses sizes past its limit before doing any work (times at
+# the limit, Python 3.11 on a shared 2-core x86 host).  H_n(x; c) and every
+# `poly` generator that does not enumerate cost roughly cubic time in n
+# through Fraction arithmetic (`poly recurrence 450`: about 61 s).  moment(k)
+# enumerates Dyck paths (`moments --upto 20`: about 6 s), and `conjecture`
+# needs moment(sum_max) (`--sum-max 20`: about 9 s).  `gf` sums block
+# matchings by a recurrence (worst at total 200: five blocks of 40, 10 s).
+# `quadruples` translates every rooted map (8,162 at 5 edges, about 1.4 s).
+# `poly matchings` and `marker-edge` enumerate at most DEFAULT_CAP vertices.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_MOMENT_INDEX = 20
+_MAX_BLOCK_TOTAL = 200
 _MAX_MAP_EDGES = 5
 
 BIJECTIONS = (
@@ -109,21 +113,14 @@ def _edge_texts(edges) -> list[str]:
 def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
     _check_nonnegative(degree=n)
-    cap = args.cap
-    if args.generator in ("matchings", "marker-edge") and cap > DEFAULT_CAP:
-        print(
-            f"warning: cap {cap} exceeds the default {DEFAULT_CAP}; "
-            "enumeration time grows faster than exponentially",
-            file=sys.stderr,
-        )
     if args.generator not in ("matchings", "marker-edge"):
         _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
     if args.generator == "recurrence":
         p = associated_hermite(n)
     elif args.generator == "matchings":
-        p = associated_hermite_matchings(n, cap=cap)
+        p = associated_hermite_matchings(n)
     elif args.generator == "marker-edge":
-        p = marker_edge_model(n, cap=cap)
+        p = marker_edge_model(n)
     elif args.generator == "basis":
         p = associated_in_hermite_basis(n)
     elif args.generator == "hermite":
@@ -225,7 +222,8 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.sum_max < 1:
         raise ValueError("--sum-max must be positive")
-    reports = list(conjecture_sweep(args.sum_max, cap=args.cap))
+    _check_size("--sum-max", args.sum_max, _MAX_MOMENT_INDEX)
+    reports = list(conjecture_sweep(args.sum_max))
     if args.csv:
         rows = [
             [",".join(str(s) for s in r.sizes), r.match, str(r.lhs), str(r.rhs)]
@@ -252,8 +250,9 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise ValueError(f"sizes must be comma-separated integers, got {args.sizes!r}")
+    _check_size("block total", sum(sizes), _MAX_BLOCK_TOTAL)
     scheme = WeightScheme(args.scheme)
-    value = inhomogeneous_gf(sizes, scheme, cap=args.cap)
+    value = inhomogeneous_gf(sizes, scheme)
     if args.csv:
         _emit_csv(["xd", "cd", "num", "den"], _poly_rows(value))
     else:
@@ -341,14 +340,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
-    group = fmt.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="JSON output (the default)")
-    group.add_argument("--csv", action="store_true", help="CSV output")
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, metavar="N",
-        help=f"enumeration size cap (default {DEFAULT_CAP})",
-    )
+    fmt.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
 
     parser = argparse.ArgumentParser(
         prog="assoc-hermite",
@@ -357,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "poly", parents=[fmt, capped],
+        "poly", parents=[fmt],
         help="one polynomial from a chosen generator, as canonical JSON",
     )
     p.add_argument("generator", choices=GENERATORS)
@@ -370,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shifted", action="store_true", help="substitute c -> c+1")
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("orthogonality", parents=[fmt], help="inner product of two polynomials")
+    p = sub.add_parser("orthogonality", help="inner product of two polynomials")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.set_defaults(handler=_cmd_orthogonality)
@@ -380,16 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(handler=_cmd_linearize)
 
-    p = sub.add_parser("mixed", parents=[fmt], help="expansion of an associated times a plain product")
+    p = sub.add_parser("mixed", help="expansion of an associated times a plain product")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.set_defaults(handler=_cmd_mixed)
 
-    p = sub.add_parser("conjecture", parents=[fmt, capped], help="sweep the linearization conjecture")
+    p = sub.add_parser("conjecture", parents=[fmt], help="sweep the linearization conjecture")
     p.add_argument("--sum-max", type=int, required=True, metavar="S")
     p.set_defaults(handler=_cmd_conjecture)
 
-    p = sub.add_parser("gf", parents=[fmt, capped], help="weighted inhomogeneous matchings on blocks")
+    p = sub.add_parser("gf", parents=[fmt], help="weighted inhomogeneous matchings on blocks")
     p.add_argument("sizes", help="comma-separated block sizes, e.g. 3,4,3")
     p.add_argument(
         "--scheme",
@@ -398,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_gf)
 
-    p = sub.add_parser("bijection", parents=[fmt], help="apply one of the bijections")
+    p = sub.add_parser("bijection", help="apply one of the bijections")
     p.add_argument("operation", choices=BIJECTIONS)
     p.add_argument("value", help="matching text, tableau text, map JSON, or edge count")
     p.add_argument("--tags", default="", help='tagged edges for tailswap-inv, e.g. "(2,4)"')
@@ -418,8 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.csv and args.command in ("orthogonality", "mixed", "bijection"):
-        parser.error(f"csv output is not available for {args.command}")
     try:
         return args.handler(args)
     except ValueError as exc:

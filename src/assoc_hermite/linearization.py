@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .matchings import (
-    DEFAULT_CAP,
-    Blocks,
-    WeightScheme,
-    _check_cap,
-    _gf,
-)
+from .matchings import Blocks, WeightScheme, _gf
 from .models import associated_hermite, usual_hermite
 from .moments import apply_functional
 from .polynomials import (
@@ -81,15 +75,19 @@ def linearization_coefficient_hypergeometric(
     return prefactor * total
 
 
+def _expansion(coefficients: list[Poly], top: int) -> Poly:
+    """The sum of coefficients[k] H_{top-2k}(x; c) over k."""
+    return _gf(
+        range(len(coefficients)),
+        lambda k: coefficients[k] * associated_hermite(top - 2 * k),
+    )
+
+
 def _linearize(N: int, M: int) -> tuple[list[Poly], Poly, Poly]:
     """The coefficients for j = 0..min(N,M), H_N H_M, and their expansion."""
     coefficients = [linearization_coefficient(N, M, j) for j in range(min(N, M) + 1)]
     lhs = associated_hermite(N) * associated_hermite(M)
-    rhs = _gf(
-        range(len(coefficients)),
-        lambda j: coefficients[j] * associated_hermite(N + M - 2 * j),
-    )
-    return coefficients, lhs, rhs
+    return coefficients, lhs, _expansion(coefficients, N + M)
 
 
 def verify_linearization(N: int, M: int) -> bool:
@@ -110,11 +108,7 @@ def _mix(n: int, m: int) -> tuple[list[Poly], Poly, Poly]:
     their expansion."""
     coefficients = [mixed_coefficient(n, m, k) for k in range(min(m, (n + m) // 2) + 1)]
     lhs = associated_hermite(n) * usual_hermite(m)
-    rhs = _gf(
-        range(len(coefficients)),
-        lambda k: coefficients[k] * associated_hermite(n + m - 2 * k),
-    )
-    return coefficients, lhs, rhs
+    return coefficients, lhs, _expansion(coefficients, n + m)
 
 
 def mixed_residual(n: int, m: int) -> Poly:
@@ -207,9 +201,7 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     return Poly({(0, j): q for j, q in enumerate(states.get((0, 0, 0), ()))})
 
 
-def inhomogeneous_gf(
-    sizes: Sequence[int], scheme: WeightScheme, cap: int = DEFAULT_CAP
-) -> Poly:
+def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:
     """Weighted sum over inhomogeneous matchings on blocks of these sizes.
 
     The sizes are taken in the order given; rearranging them changes the
@@ -221,15 +213,11 @@ def inhomogeneous_gf(
     last close; under every scheme a closing arc's weight depends on those
     counts alone, so the sum costs time polynomial in the total.  The
     tests check it against `enumerate_inhomogeneous` summed with `weight`.
-    A total past cap is refused with the enumerators' message, so every
-    block-matching entry point has one size limit.
     """
     sizes = tuple(sizes)
     if sum(sizes) % 2:
         return Poly.zero()
-    blocks = Blocks(sizes)
-    _check_cap(blocks.total, cap)
-    return _histories(blocks.sizes, scheme)
+    return _histories(Blocks(sizes).sizes, scheme)
 
 
 @dataclass(frozen=True)
@@ -240,9 +228,7 @@ class ConjectureReport:
     rhs: Poly
 
 
-def conjecture_check(
-    ns: Sequence[int], cap: int = DEFAULT_CAP, *, arrange: bool = True
-) -> ConjectureReport:
+def conjecture_check(ns: Sequence[int], *, arrange: bool = True) -> ConjectureReport:
     """Compare the product functional with the no-right-crossing matching sum.
 
     By default blocks are arranged weakly increasing by size; ties among
@@ -256,7 +242,7 @@ def conjecture_check(
     if any(n < 1 for n in sizes):
         raise ValueError("block sizes must be positive")
     lhs = product_functional(sizes)
-    rhs = inhomogeneous_gf(sizes, WeightScheme.MOMENT_NO_RIGHT_CROSSING, cap=cap)
+    rhs = inhomogeneous_gf(sizes, WeightScheme.MOMENT_NO_RIGHT_CROSSING)
     return ConjectureReport(sizes, lhs == rhs, lhs, rhs)
 
 
@@ -270,9 +256,7 @@ def _weakly_increasing_tuples(total_max: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), 1, total_max)
 
 
-def conjecture_sweep(
-    sum_max: int, cap: int = DEFAULT_CAP
-) -> Iterator[ConjectureReport]:
+def conjecture_sweep(sum_max: int) -> Iterator[ConjectureReport]:
     """Reports for every multiset of positive block sizes with sum <= sum_max."""
     for sizes in _weakly_increasing_tuples(sum_max):
-        yield conjecture_check(sizes, cap=cap)
+        yield conjecture_check(sizes)

@@ -215,11 +215,11 @@ def weight(m: Matching, scheme: WeightScheme) -> Poly:
     return Poly.monomial(0, cd)
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int) -> None:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_CAP}")
 
 
 def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
@@ -257,16 +257,16 @@ def _pairings(
 
 def enumerate_complete(n: int) -> Iterator[Matching]:
     """All complete matchings on {1, ..., n}; there are (n-1)!! of them."""
-    _check_cap(n, DEFAULT_CAP)
+    _check_cap(n)
     if n % 2:
         raise ValueError("complete matchings need an even vertex count")
     for edges in _pairings(tuple(range(1, n + 1))):
         yield _trusted(Matching, n=n, edges=edges)
 
 
-def enumerate_incomplete(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_incomplete(n: int) -> Iterator[Matching]:
     """All partial matchings on {1, ..., n} (fixed points allowed)."""
-    _check_cap(n, cap)
+    _check_cap(n)
     vertices = range(1, n + 1)
     for edges in _pairings(tuple(vertices), free=vertices):
         yield _trusted(Matching, n=n, edges=edges)
@@ -301,7 +301,7 @@ class Blocks:
 def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:
     """Complete matchings on the block structure with no edge inside a block."""
     n = blocks.total
-    _check_cap(n, DEFAULT_CAP)
+    _check_cap(n)
     if n % 2:
         raise ValueError("inhomogeneous matchings need an even vertex total")
     block_of = [0] + [i for i, s in enumerate(blocks.sizes) for _ in range(s)]

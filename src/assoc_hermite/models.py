@@ -16,7 +16,6 @@ from math import comb
 from typing import Iterator
 
 from .matchings import (
-    DEFAULT_CAP,
     Blocks,
     Edge,
     Matching,
@@ -69,19 +68,19 @@ def usual_hermite(n: int) -> Poly:
     return X * usual_hermite(n - 1) - (n - 1) * usual_hermite(n - 2)
 
 
-def associated_hermite_matchings(n: int, cap: int = DEFAULT_CAP) -> Poly:
+def associated_hermite_matchings(n: int) -> Poly:
     """H_n(x; c) as the generating function of partial matchings on [n].
 
     Fixed points weigh x; an edge weighs -c when it nests no fixed point or
     edge and has no left crossing, and -1 otherwise.
     """
     return _gf(
-        enumerate_incomplete(n, cap=cap),
+        enumerate_incomplete(n),
         lambda m: weight(m, WeightScheme.POLY_RIGHTMOST),
     )
 
 
-def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def enumerate_marker_edge_matchings(n: int) -> Iterator[Matching]:
     """Partial matchings on n + 2 vertices whose edge at vertex 1 covers the rest.
 
     The edge containing vertex 1 is the marker edge.  Every fixed point must sit
@@ -89,7 +88,7 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
     whole diagram hangs together.
     """
     total = n + 2
-    _check_cap(total, cap)
+    _check_cap(total)
     rest = tuple(range(2, total + 1))
     for t in rest:
         others = tuple(v for v in rest if v != t)
@@ -100,7 +99,7 @@ def enumerate_marker_edge_matchings(n: int, cap: int = DEFAULT_CAP) -> Iterator[
             yield _trusted(Matching, n=total, edges=((1, t),) + sub)
 
 
-def marker_edge_model(n: int, cap: int = DEFAULT_CAP) -> Poly:
+def marker_edge_model(n: int) -> Poly:
     """H_n(x; c+1) as the generating function of marker-edge matchings.
 
     The marker edge weighs +1, fixed points weigh x, edges nested by some
@@ -113,7 +112,7 @@ def marker_edge_model(n: int, cap: int = DEFAULT_CAP) -> Poly:
         sign = -1 if (len(m.edges) - 1) % 2 else 1
         return Poly.monomial(len(m.fixed_points()), special, sign)
 
-    return _gf(enumerate_marker_edge_matchings(n, cap=cap), weigh)
+    return _gf(enumerate_marker_edge_matchings(n), weigh)
 
 
 def associated_in_hermite_basis(n: int) -> Poly:

@@ -14,7 +14,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .matchings import Edge, WeightScheme, _gf, _relation_masks, _trusted, weight
+from .matchings import (
+    Edge,
+    WeightScheme,
+    _gf,
+    _relation_masks,
+    _trusted,
+    enumerate_complete,
+    weight,
+)
 from .models import associated_hermite
 from .polynomials import C, Poly
 
@@ -66,8 +74,6 @@ def moment(n: int) -> Poly:
 
 def moment_via_matchings(n: int, scheme: WeightScheme) -> Poly:
     """The nth moment as a sum over complete matchings on [n]."""
-    from .matchings import enumerate_complete
-
     if n % 2:
         return Poly.zero()
     return _gf(enumerate_complete(n), lambda m: weight(m, scheme))
@@ -151,8 +157,6 @@ def enumerate_paired(n: int, m: int) -> Iterator[PairedMatching]:
     Every complete matching of the n + m vertices is colored in all ways
     that keep black edges homogeneous.  An odd total yields nothing.
     """
-    from .matchings import enumerate_complete
-
     total = n + m
     if total % 2:
         return

@@ -7,11 +7,13 @@ is exactly what a shell user sees.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assoc_hermite import cli
 from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
@@ -111,21 +113,22 @@ def test_associated_recurrence_degree_is_capped(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,warns",
+    "argv",
     [
-        (["poly", "matchings", "6"], True),
-        (["poly", "marker-edge", "4"], True),
-        (["poly", "recurrence", "6"], False),
-        (["gf", "10,10,10,10", "--scheme", "rightmost"], False),
-        (["conjecture", "--sum-max", "4"], False),
+        ["poly", "matchings", "4", "--cap", "8"],
+        ["gf", "2,2", "--cap", "4"],
+        ["conjecture", "--sum-max", "4", "--cap", "4"],
+        ["moments", "--upto", "2", "--json"],
+        ["orthogonality", "2", "2", "--csv"],
     ],
 )
-def test_raised_cap_warns_only_where_it_bounds_an_enumeration(capsys, argv, warns):
-    rc, out, err = run(capsys, *argv, "--cap", "40")
-    assert rc == 0
-    assert ("enumeration time grows" in err) is warns
-    if argv[0] != "gf":
-        assert out == run(capsys, *argv)[1]
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize(
@@ -139,6 +142,8 @@ def test_raised_cap_warns_only_where_it_bounds_an_enumeration(capsys, argv, warn
         ["linearize", "300", "300"],
         ["bijection", "quadruples", "6"],
         ["poly", "marker-edge", "15"],
+        ["gf", "101,101"],
+        ["conjecture", "--sum-max", "21"],
     ],
 )
 def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
@@ -146,6 +151,23 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["gf", "201,0"], "inhomogeneous_gf"),  # odd, so the parent printed zero
+        (["conjecture", "--sum-max", "21"], "conjecture_sweep"),
+    ],
+)
+def test_size_limits_are_checked_before_any_work(capsys, monkeypatch, argv, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran past the size limit")
+
+    monkeypatch.setattr(cli, work, refuse)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith(", the largest accepted\n")
 
 
 def test_marker_edge_refusal_counts_the_two_marker_vertices(capsys):
@@ -214,7 +236,7 @@ def test_gf_bad_sizes(capsys):
     [
         ("-2,4", "block sizes must be nonnegative"),
         ("-2,20", "block sizes must be nonnegative"),
-        ("9,9", "n=18 exceeds the enumeration cap 16"),
+        ("101,101", "block total 202 exceeds 200"),
     ],
 )
 def test_gf_refuses_negative_sizes_and_totals_past_the_cap(capsys, sizes, message):
@@ -222,6 +244,14 @@ def test_gf_refuses_negative_sizes_and_totals_past_the_cap(capsys, sizes, messag
     assert rc == 2
     assert out == ""
     assert message in err
+
+
+def test_gf_sums_block_totals_past_the_enumeration_cap(capsys):
+    # gf enumerates nothing, so 18 vertices are within its limit.
+    rc, out, _ = run(capsys, "gf", "9,9")
+    assert rc == 0
+    value = Poly.from_json_obj(json.loads(out)["value"])
+    assert value.evaluate(c_value=1) == factorial(9)
 
 
 def test_gf_odd_total_is_zero(capsys):
@@ -393,8 +423,7 @@ SIZES = st.lists(st.integers(-1, 4), max_size=4).filter(lambda xs: sum(map(abs, 
     lambda xs: ",".join(map(str, xs))
 ) | st.sampled_from(["", "3,", "a,b", "1,,2"])
 SCHEME = st.sampled_from([[], ["--scheme", "odd"]] + [["--scheme", s.value] for s in WeightScheme])
-FORMAT = st.sampled_from([[], ["--csv"], ["--json"]])
-CAP = st.sampled_from([[]]) | st.integers(-2, 12).map(lambda n: ["--cap", str(n)])
+FORMAT = st.sampled_from([[], ["--csv"]])
 SHIFTED = st.sampled_from([[], ["--shifted"]])
 
 
@@ -407,13 +436,13 @@ def command_lines(draw):
     ))
     fmt = draw(FORMAT)
     if command == "poly":
-        return ["poly", draw(st.sampled_from(GENERATORS)), draw(NUMBER), *draw(SHIFTED), *fmt, *draw(CAP)]
+        return ["poly", draw(st.sampled_from(GENERATORS)), draw(NUMBER), *draw(SHIFTED), *fmt]
     if command == "moments":
         return ["moments", "--upto", draw(NUMBER), *draw(SHIFTED), *fmt]
     if command == "conjecture":
-        return ["conjecture", "--sum-max", draw(NUMBER), *fmt, *draw(CAP)]
+        return ["conjecture", "--sum-max", draw(NUMBER), *fmt]
     if command == "gf":
-        return ["gf", *draw(SCHEME), *fmt, *draw(CAP), "--", draw(SIZES)]
+        return ["gf", *draw(SCHEME), *fmt, "--", draw(SIZES)]
     if command == "bijection":
         op = draw(st.sampled_from(BIJECTIONS + ("unknown",)))
         value = draw(MATCHING | TABLEAU | MAP_JSON | st.integers(-2, 2).map(str))

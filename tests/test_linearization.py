@@ -193,12 +193,11 @@ def test_inhomogeneous_gf_error_contract():
     scheme = WeightScheme.MOMENT_NONNESTED
     # An odd total is zero before the sizes are validated...
     assert inhomogeneous_gf((-1, 2), scheme).is_zero()
-    # ...and negative sizes are refused before the cap is applied.
+    # ...and negative sizes are refused; no total is too large, since
+    # nothing is enumerated.
     with pytest.raises(ValueError, match="block sizes must be nonnegative"):
         inhomogeneous_gf((-2, 20), scheme)
-    with pytest.raises(ValueError, match="n=18 exceeds the enumeration cap 16"):
-        inhomogeneous_gf((9, 9), scheme)
-    assert inhomogeneous_gf((9, 9), scheme, cap=18).evaluate(c_value=1) == factorial(9)
+    assert inhomogeneous_gf((9, 9), scheme).evaluate(c_value=1) == factorial(9)
 
 
 def test_conjecture_check_rejects_bad_sizes():

@@ -9,11 +9,11 @@ from assoc_hermite.matchings import (
     enumerate_complete,
     weight,
 )
-from assoc_hermite.moments import moment
 from assoc_hermite.polynomials import Poly
 from assoc_hermite.tableaux import (
     OscillatingTableau,
     _edge_labels,
+    _label_depths,
     _step,
     enumerate_tableaux,
     forward_fillings,
@@ -107,76 +107,14 @@ def test_unknown_statistic_rejected():
         tableau_weight(matching_to_tableau(WORKED), "diagonal")
 
 
-def label_rows(m):
-    """Deepest row reached by each label, and the edge it belongs to."""
-    by_right = sorted(m.edges, key=lambda e: e[1], reverse=True)
-    deepest = {}
-    for f in forward_fillings(m):
-        for r, row in enumerate(f):
-            for v in row:
-                deepest[v] = max(deepest.get(v, 0), r)
-    return {label + 1: (edge, deepest[label + 1]) for label, edge in enumerate(by_right)}
-
-
-def test_leaving_row_one_implies_a_right_crossing():
-    for h in range(1, 5):
-        for m in enumerate_complete(2 * h):
-            for edge, depth in label_rows(m).values():
-                if depth > 0:
-                    assert edge_stats(m, edge).has_right_crossing
-
-
 def test_right_crossing_does_not_force_leaving_row_one():
     m = Matching.from_text("(1,5)(2,4)(3,6)")
-    rows = label_rows(m)
-    assert rows[3] == ((2, 4), 0)  # crossed from the right, never bumped
+    assert _edge_labels(m)[2] == 3
+    deep_row, _ = _label_depths(forward_fillings(m))[3]
+    assert deep_row == 0  # crossed from the right, never bumped
     assert edge_stats(m, (2, 4)).has_right_crossing
     assert tableau_weight(matching_to_tableau(m), "row") == Poly.monomial(0, 2)
     assert weight(m, WeightScheme.MOMENT_NO_RIGHT_CROSSING) == Poly.monomial(0, 1)
-
-
-def test_row_statistic_distribution_is_not_the_moment():
-    for h, expected in (
-        (1, {(0, 1): 1}),
-        (2, {(0, 2): 2, (0, 1): 1}),
-        (3, {(0, 3): 5, (0, 2): 8, (0, 1): 2}),
-        (4, {(0, 4): 14, (0, 3): 47, (0, 2): 39, (0, 1): 5}),
-    ):
-        total = Poly.zero()
-        for m in enumerate_complete(2 * h):
-            total = total + tableau_weight(matching_to_tableau(m), "row")
-        assert total == Poly(expected)
-        if h >= 3:
-            assert total != moment(2 * h)
-
-
-def test_nesting_left_crossing_lemma():
-    # present smaller labels nest the newcomer; bigger ones cross it from the left
-    for h in range(1, 5):
-        for m in enumerate_complete(2 * h):
-            by_right = sorted(m.edges, key=lambda e: e[1], reverse=True)
-            edge_by_label = {i + 1: e for i, e in enumerate(by_right)}
-            fillings = forward_fillings(m)
-            for lab, (a, b) in edge_by_label.items():
-                for other in {v for row in fillings[a - 1] for v in row}:
-                    oa, ob = edge_by_label[other]
-                    if other < lab:
-                        assert oa < a and b < ob
-                    else:
-                        assert oa < a < ob < b
-
-
-def test_column_depth_matches_nesting():
-    for h in range(1, 5):
-        for m in enumerate_complete(2 * h):
-            by_right = sorted(m.edges, key=lambda e: e[1], reverse=True)
-            deepest = {}
-            for f in forward_fillings(m):
-                for row in f:
-                    for ci, v in enumerate(row):
-                        deepest[v] = max(deepest.get(v, 0), ci)
-            for i, e in enumerate(by_right):
-                assert (deepest[i + 1] > 0) == edge_stats(m, e).is_nested_by_other
 
 
 # ----- the earlier per-label scans, kept as oracles for _step and _label_depths -----
