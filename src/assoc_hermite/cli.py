@@ -54,15 +54,19 @@ GENERATORS = (
 )
 
 # Each command refuses sizes past its limit before doing any work (times at
-# the limit, Python 3.11 on a shared 2-core x86 host).  H_n(x; c) and every
-# `poly` generator that does not enumerate cost roughly cubic time in n
-# through Fraction arithmetic (`poly recurrence 450`: about 61 s).  moment(k)
+# the limit, Python 3.11 on a shared 2-core x86 host).  The `poly` generators
+# that do not enumerate run the three-term recurrence in Fraction arithmetic
+# (at 450: `chebyshev` 0.7 s, `hermite` 1 s, `basis` 40 s, `recurrence`
+# 61 s, `chebyshev-limit` 98 s).  `linearize` and `mixed` cost about the 4.5th
+# power of n + m, so their total stops where the worst split fits in 20 s
+# (`linearize 70 70`: 16 s; `mixed` at most 12 s, near 60 80).  moment(k)
 # enumerates Dyck paths (`moments --upto 20`: about 6 s), and `conjecture`
 # needs moment(sum_max) (`--sum-max 20`: about 9 s).  `gf` sums block
 # matchings by a recurrence (worst at total 200: five blocks of 40, 10 s).
 # `quadruples` translates every rooted map (8,162 at 5 edges, about 1.4 s).
 # `poly matchings` and `marker-edge` enumerate at most DEFAULT_CAP vertices.
 _MAX_RECURRENCE_DEGREE = 450
+_MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20
 _MAX_BLOCK_TOTAL = 200
 _MAX_MAP_EDGES = 5
@@ -173,7 +177,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
 def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     _check_nonnegative(n=n, m=m)
-    _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
+    _check_size("degree n + m =", n + m, _MAX_PRODUCT_DEGREE)
     coefficients, lhs, rhs = _linearize(n, m)
     if args.csv:
         rows = [row for j, p in enumerate(coefficients) for row in _poly_rows(p, [j])]
@@ -198,7 +202,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 def _cmd_mixed(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     _check_nonnegative(n=n, m=m)
-    _check_size("degree n + m =", n + m, _MAX_RECURRENCE_DEGREE)
+    _check_size("degree n + m =", n + m, _MAX_PRODUCT_DEGREE)
     coefficients, lhs, rhs = _mix(n, m)
     residual = lhs - rhs
     _emit_json(

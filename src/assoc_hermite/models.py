@@ -2,8 +2,9 @@
 
 The polynomials H_n(x; c) satisfy H_{n+1} = x H_n - (n - 1 + c) H_{n-1}
 with H_0 = 1 and H_n = 0 for n < 0.  At c = 1 they reduce to the usual
-Hermite polynomials H_{n+1} = x H_n - n H_{n-1}.  Each model below builds
-the same polynomials from weighted matchings, and the Chebyshev limit
+Hermite polynomials H_{n+1} = x H_n - n H_{n-1}, and Chebyshev U_n sets that
+coefficient to 1: one builder runs all three recurrences.  Each model below
+builds the same polynomials from weighted matchings, and the Chebyshev limit
 extracts U_n(x) from the leading behaviour in c.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -34,38 +34,29 @@ from .matchings import (
 from .polynomials import C, Poly, X, rising_factorial
 
 
-# Each cached recurrence below first fills its cache at every _STRIDE-th
-# degree from the bottom up, so a call recurses at most _STRIDE degrees deep
-# whatever its degree, and each degree is still computed once.
-_STRIDE = 32
+def _three_term(table: list[Poly], b, n: int) -> Poly:
+    """P_n of P_k = x P_{k-1} - b(k) P_{k-2}, zero for n < 0, extending the
+    list table of P_0, P_1, ... in place so each degree is computed once."""
+    if n < 0:
+        return Poly.zero()
+    for k in range(len(table), n + 1):
+        table.append(X * table[k - 1] - b(k) * table[k - 2])
+    return table[n]
 
 
-def _fill_below(recurrence, n: int) -> None:
-    for k in range(_STRIDE, n - 1, _STRIDE):
-        recurrence(k)
+_ASSOCIATED = [Poly.one(), X]
+_HERMITE = [Poly.one(), X]
+_CHEBYSHEV = [Poly.one(), X]
 
 
-@cache
 def associated_hermite(n: int) -> Poly:
     """H_n(x; c) from the three-term recurrence."""
-    if n < 0:
-        return Poly.zero()
-    if n == 0:
-        return Poly.one()
-    _fill_below(associated_hermite, n)
-    # H_n = x H_{n-1} - (n - 2 + c) H_{n-2}
-    return X * associated_hermite(n - 1) - (C + (n - 2)) * associated_hermite(n - 2)
+    return _three_term(_ASSOCIATED, lambda k: C + (k - 2), n)
 
 
-@cache
 def usual_hermite(n: int) -> Poly:
     """The matchings-normalized Hermite polynomial H_n(x)."""
-    if n < 0:
-        return Poly.zero()
-    if n == 0:
-        return Poly.one()
-    _fill_below(usual_hermite, n)
-    return X * usual_hermite(n - 1) - (n - 1) * usual_hermite(n - 2)
+    return _three_term(_HERMITE, lambda k: k - 1, n)
 
 
 def associated_hermite_matchings(n: int) -> Poly:
@@ -123,15 +114,9 @@ def associated_in_hermite_basis(n: int) -> Poly:
     )
 
 
-@cache
 def chebyshev_u(n: int) -> Poly:
     """Chebyshev U_n(x) via U_{n+1} = x U_n - U_{n-1}."""
-    if n < 0:
-        return Poly.zero()
-    if n == 0:
-        return Poly.one()
-    _fill_below(chebyshev_u, n)
-    return X * chebyshev_u(n - 1) - chebyshev_u(n - 2)
+    return _three_term(_CHEBYSHEV, lambda k: 1, n)
 
 
 def chebyshev_u_matchings(n: int) -> Poly:

@@ -138,8 +138,11 @@ def test_removed_options_are_usage_errors(capsys, argv):
         ["moments", "--upto", "40"],
         ["orthogonality", "11", "10"],
         ["orthogonality", "30", "30"],
+        ["linearize", "71", "70"],
         ["linearize", "226", "225"],
         ["linearize", "300", "300"],
+        ["mixed", "71", "70"],
+        ["mixed", "0", "141"],
         ["bijection", "quadruples", "6"],
         ["poly", "marker-edge", "15"],
         ["gf", "101,101"],
@@ -158,6 +161,8 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
     [
         (["gf", "201,0"], "inhomogeneous_gf"),  # odd, so the parent printed zero
         (["conjecture", "--sum-max", "21"], "conjecture_sweep"),
+        (["linearize", "71", "70"], "_linearize"),
+        (["mixed", "0", "141"], "_mix"),
     ],
 )
 def test_size_limits_are_checked_before_any_work(capsys, monkeypatch, argv, work):

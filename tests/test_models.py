@@ -122,25 +122,58 @@ def test_chebyshev_polynomials():
         assert chebyshev_u_matchings(n) == chebyshev_u(n)
 
 
-def test_recurrences_past_the_default_recursion_limit():
-    chebyshev_u.cache_clear()
-    usual_hermite.cache_clear()
+FAMILY_TABLES = ("_ASSOCIATED", "_HERMITE", "_CHEBYSHEV")
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Every family table reset to P_0 and P_1 alone, restored afterwards."""
+    for name in FAMILY_TABLES:
+        monkeypatch.setattr(models, name, [Poly.one(), X])
+
+
+def test_recurrences_past_the_default_recursion_limit(cold_tables):
     assert chebyshev_u(600).evaluate(2) == 601
     # H_2k(0) = (-1)^k (2k - 1)!!, counting the perfect matchings on 2k points.
     assert usual_hermite(520).evaluate(0) == prod(range(1, 520, 2))
 
 
-def test_associated_recurrence_depth_does_not_grow_with_degree():
+FAMILY_IDS = ["associated", "hermite", "chebyshev"]
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [
+        (associated_hermite, lambda: usual_hermite(80).evaluate(2)),
+        (usual_hermite, lambda: associated_hermite(80).evaluate(2, 1)),
+        (chebyshev_u, lambda: 81),
+    ],
+    ids=FAMILY_IDS,
+)
+def test_recurrence_depth_does_not_grow_with_degree(cold_tables, family, expected):
     # Degree 80 would recurse about twice as deep as the lowered limit allows
     # if each degree called the next one down.
-    associated_hermite.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 120)
     try:
-        h = associated_hermite(80)
+        p = family(80)
     finally:
         sys.setrecursionlimit(limit)
-    assert h.evaluate(2, 1) == usual_hermite(80).evaluate(2)
+    assert p.evaluate(2, 1) == expected()
+
+
+@pytest.mark.parametrize(
+    "family", [associated_hermite, usual_hermite, chebyshev_u], ids=FAMILY_IDS
+)
+def test_tables_grow_the_same_in_any_order(cold_tables, monkeypatch, family):
+    # A partly filled table must extend from where it stops, whatever the
+    # order in which degrees are first asked for.
+    degrees = [17, 1, 42, -1, 3, 0, 41, 5, 2, 40]
+    shuffled = {n: family(n) for n in degrees}
+    for name in FAMILY_TABLES:
+        monkeypatch.setattr(models, name, [Poly.one(), X])
+    assert shuffled == {n: family(n) for n in sorted(degrees)}
+    assert shuffled[-1] == Poly.zero()
 
 
 def test_chebyshev_limit():
