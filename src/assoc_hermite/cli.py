@@ -64,12 +64,16 @@ GENERATORS = (
 # needs moment(sum_max) (`--sum-max 20`: about 9 s).  `gf` sums block
 # matchings by a recurrence (worst at total 200: five blocks of 40, 10 s).
 # `quadruples` translates every rooted map (8,162 at 5 edges, about 1.4 s).
+# The other bijections take one object of at most 300 edges; the worst is
+# `tailswap` on the all-crossing matching (i, i+300), cubic through its two
+# crossing-count assertions per swap (8 s), and the rest stay under 0.6 s.
 # `poly matchings` and `marker-edge` enumerate at most DEFAULT_CAP vertices.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20
 _MAX_BLOCK_TOTAL = 200
 _MAX_MAP_EDGES = 5
+_MAX_BIJECTION_EDGES = 300
 
 BIJECTIONS = (
     "tableau",
@@ -269,7 +273,9 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     op = args.operation
     if op == "tableau":
-        t = matching_to_tableau(Matching.from_text(args.value))
+        m = Matching.from_text(args.value)
+        _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
+        t = matching_to_tableau(m)
         _emit_json(
             {
                 "tableau": t.to_text(),
@@ -279,12 +285,16 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         )
     elif op == "tableau-inv":
         t = OscillatingTableau.from_text(args.value)
+        _check_size("edge count", t.length // 2, _MAX_BIJECTION_EDGES)
         _emit_json({"matching": tableau_to_matching(t).to_text()})
     elif op == "tailswap":
-        small, tags = tail_swap(Matching.from_text(args.value))
+        m = Matching.from_text(args.value)
+        _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
+        small, tags = tail_swap(m)
         _emit_json({"matching": small.to_text(), "tags": _edge_texts(tags)})
     elif op == "tailswap-inv":
         m = Matching.from_text(args.value)
+        _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
         tags = Matching.from_text(args.tags, n=m.n).edges if args.tags else ()
         _emit_json({"matching": tail_swap_inverse(m, frozenset(tags)).to_text()})
     elif op == "map-matching":
@@ -293,6 +303,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"map argument is not JSON: {exc}")
         rm = RootedMap.from_json_obj(obj)
+        _check_size("edge count", rm.edge_count, _MAX_BIJECTION_EDGES)
         cm = map_to_connected_matching(rm)
         _emit_json(
             {

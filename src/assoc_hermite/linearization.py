@@ -21,6 +21,7 @@ from .moments import apply_functional
 from .polynomials import (
     C,
     Poly,
+    _exact,
     binomial_poly,
     rising_factorial,
     rising_factorial_value,
@@ -58,7 +59,7 @@ def linearization_coefficient_hypergeometric(
     """
     if not 0 <= j <= min(N, M):
         raise ValueError(f"j must lie in 0..min(N,M), got {j}")
-    c = Fraction(c_value)
+    c = _exact(c_value)
     prefactor = rising_factorial_value(N + M - 2 * j + c, j)
     e = j - N - M - c + 1
     total = Fraction(0)

@@ -77,13 +77,6 @@ class Matching:
     def __str__(self) -> str:
         return self.to_text()
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Matching":
-        return cls(int(obj["n"]), tuple((int(a), int(b)) for a, b in obj["edges"]))
-
     def fixed_points(self) -> tuple[int, ...]:
         used = {v for e in self.edges for v in e}
         return tuple(v for v in range(1, self.n + 1) if v not in used)

@@ -147,11 +147,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -282,7 +277,7 @@ def rising_factorial_value(base: Scalar, k: int) -> Fraction:
     """Rising factorial of a plain rational value."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
-    base = Fraction(base)
+    base = _exact(base)
     total = Fraction(1)
     for i in range(k):
         total *= base + i

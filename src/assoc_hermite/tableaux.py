@@ -87,13 +87,6 @@ class OscillatingTableau:
                 raise ValueError(f"bad shape {chunk!r}")
         return cls(tuple(shapes))
 
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(s) for s in self.shapes]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[list[int]]) -> "OscillatingTableau":
-        return cls(tuple(tuple(s) for s in obj))
-
 
 def _edge_labels(m: Matching) -> dict[int, int]:
     """Label each edge by its right endpoint, in descending order from 1.

@@ -27,6 +27,21 @@ def run(capsys, *argv):
     return rc, out, err
 
 
+# One past the bijection edge limit: a noncrossing matching, an oscillating
+# walk, the all-crossing matching (i, i + 301) and a one-vertex map of loops.
+EDGES = 301
+NONCROSSING = "".join(f"({2 * i - 1},{2 * i})" for i in range(1, EDGES + 1))
+ALL_CROSSING = "".join(f"({i},{i + EDGES})" for i in range(1, EDGES + 1))
+WALK = "-" + ";1;-" * EDGES
+LOOPS = json.dumps(
+    {
+        "rotation": [(d + 1) % (2 * EDGES) for d in range(2 * EDGES)],
+        "pairing": [d ^ 1 for d in range(2 * EDGES)],
+        "root": 0,
+    }
+)
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     first = run(capsys, "moments", "--upto", "8")
     second = run(capsys, "moments", "--upto", "8")
@@ -147,6 +162,11 @@ def test_removed_options_are_usage_errors(capsys, argv):
         ["poly", "marker-edge", "15"],
         ["gf", "101,101"],
         ["conjecture", "--sum-max", "21"],
+        ["bijection", "tableau", NONCROSSING],
+        ["bijection", "tableau-inv", "--", WALK],
+        ["bijection", "tailswap", ALL_CROSSING],
+        ["bijection", "tailswap-inv", NONCROSSING],
+        ["bijection", "map-matching", LOOPS],
     ],
 )
 def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
@@ -163,6 +183,7 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
         (["conjecture", "--sum-max", "21"], "conjecture_sweep"),
         (["linearize", "71", "70"], "_linearize"),
         (["mixed", "0", "141"], "_mix"),
+        (["bijection", "tailswap", ALL_CROSSING], "tail_swap"),
     ],
 )
 def test_size_limits_are_checked_before_any_work(capsys, monkeypatch, argv, work):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used somewhere in that module.
+"""Every name a library or test module imports is used somewhere in that
+module.
 
 The package's `__init__.py` imports names only to re-export them, so it is
 not checked.  A name used only in an annotation counts as used, also when
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "assoc_hermite").glob("*.py")
+    for path in [*(ROOT / "src" / "assoc_hermite").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
 

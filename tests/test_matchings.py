@@ -178,16 +178,6 @@ def test_edge_stats_requires_membership():
         edge_stats(Matching.from_text("(1,2)"), (1, 3))
 
 
-def test_moment_weights_agree_in_total_only():
-    total_nonnested = Poly.zero()
-    total_no_right = Poly.zero()
-    for m in enumerate_complete(6):
-        total_nonnested = total_nonnested + weight(m, WeightScheme.MOMENT_NONNESTED)
-        total_no_right = total_no_right + weight(m, WeightScheme.MOMENT_NO_RIGHT_CROSSING)
-    assert total_nonnested == total_no_right
-    assert total_nonnested == Poly({(0, 3): 5, (0, 2): 7, (0, 1): 3})
-
-
 def test_poly_rightmost_weighting_instance():
     # weight -c needs: nests nothing, no left crossing
     m = Matching.from_text("(2,5)(3,4)", n=6)
@@ -223,15 +213,6 @@ def test_is_connected_examples():
     assert not is_connected(Matching.from_text("(1,4)(2,3)(5,6)"))
     assert is_connected(Matching.from_text("(1,4)(2,6)(3,5)"))
     assert is_connected(Matching(0, ()))
-
-
-def test_connected_counts():
-    # indecomposable complete matchings by half-size: 1, 1, 2, 10, 74
-    counts = [
-        sum(1 for m in enumerate_complete(2 * h) if is_connected(m))
-        for h in range(5)
-    ]
-    assert counts == [1, 1, 2, 10, 74]
 
 
 def test_trusted_results_equal_their_validated_rebuilds():

@@ -1,17 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 from assoc_hermite.matchings import WeightScheme
-from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import (
     PairedMatching,
-    apply_functional,
     cycle_count,
     enumerate_dyck_paths,
     enumerate_paired,
     flip_candidate,
-    inner_product,
     left_to_right_maxima,
     moment,
     moment_series,
@@ -20,21 +15,7 @@ from assoc_hermite.moments import (
     paired_to_permutation,
     paired_weight,
 )
-from assoc_hermite.polynomials import C, Poly, rising_factorial
-
-
-def test_first_moments():
-    assert moment(0) == Poly.one()
-    assert moment(2) == C
-    assert moment(4) == 2 * C**2 + C
-    assert moment(6) == 5 * C**3 + 7 * C**2 + 3 * C
-    assert all(moment(n) == Poly.zero() for n in (1, 3, 5, 7))
-
-
-def test_shifted_moments():
-    assert moment(2).shift_c() == C + 1
-    assert moment(4).shift_c() == 2 * C**2 + 5 * C + 3
-    assert moment(6).shift_c() == 5 * C**3 + 22 * C**2 + 32 * C + 15
+from assoc_hermite.polynomials import C, Poly
 
 
 def test_dyck_path_counts():
@@ -63,30 +44,6 @@ def test_continued_fraction_truncation():
     assert shifted[: 9] == [moment(k).shift_c() for k in range(9)]
 
 
-def test_apply_functional_is_linear_in_moments():
-    p = associated_hermite(2) * associated_hermite(2)
-    assert apply_functional(p) == C * (C + 1)
-    assert apply_functional(Poly.one()) == Poly.one()
-
-
-def test_inner_products():
-    for n in range(7):
-        for m in range(7):
-            expected = rising_factorial(C, n) if n == m else Poly.zero()
-            assert inner_product(n, m) == expected
-
-
-def test_paired_sum_reproduces_inner_product():
-    for n in range(5):
-        for m in range(5):
-            if (n + m) % 2:
-                continue
-            total = Poly.zero()
-            for pm in enumerate_paired(n, m):
-                total = total + paired_weight(pm)
-            assert total == inner_product(n, m)
-
-
 def test_enumerate_paired_is_guarded_by_the_complete_enumerator():
     # An odd total yields nothing, even past the cap; an even one past the
     # cap is refused by enumerate_complete on the first next().
@@ -94,50 +51,6 @@ def test_enumerate_paired_is_guarded_by_the_complete_enumerator():
     paired = enumerate_paired(9, 9)
     with pytest.raises(ValueError, match="^n=18 exceeds the enumeration cap 16$"):
         next(paired)
-
-
-def test_fixed_points_only_on_the_diagonal():
-    for n in range(5):
-        for m in range(5):
-            if (n + m) % 2:
-                continue
-            for pm in enumerate_paired(n, m):
-                if flip_candidate(pm) is None:
-                    assert n == m
-                    assert pm.black == ()
-
-
-def test_involution_negates_weight_with_bigger_block_left():
-    for n in range(5):
-        for m in range(n + 1):
-            if (n + m) % 2:
-                continue
-            for pm in enumerate_paired(n, m):
-                if flip_candidate(pm) is None:
-                    continue
-                image = orthogonality_involution(pm)
-                assert orthogonality_involution(image) == pm
-                assert paired_weight(image) == -paired_weight(pm)
-
-
-def test_negation_can_fail_with_bigger_block_right():
-    pm = PairedMatching(1, 5, (), ((1, 3), (2, 5), (4, 6)))
-    assert flip_candidate(pm) == (2, 5)
-    assert paired_weight(pm) == C
-    image = orthogonality_involution(pm)
-    assert orthogonality_involution(image) == pm  # still an involution
-    assert paired_weight(image) == -(C**2)  # but magnitude changes
-
-
-def test_recoloring_always_flips_the_sign():
-    for n, m in ((1, 3), (2, 4), (3, 1), (3, 3)):
-        for pm in enumerate_paired(n, m):
-            e = flip_candidate(pm)
-            if e is None:
-                continue
-            before = paired_weight(pm).sorted_terms()
-            after = paired_weight(orthogonality_involution(pm)).sorted_terms()
-            assert (before[0][1] > 0) != (after[0][1] > 0)
 
 
 def test_flip_candidate_picks_the_leftmost_nest_free_edge():

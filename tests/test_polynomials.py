@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assoc_hermite.linearization import linearization_coefficient_hypergeometric
 from assoc_hermite.polynomials import (
     C,
     Poly,
@@ -79,7 +80,7 @@ def test_pow_matches_repeated_multiplication(p, k):
 def test_scalar_interplay():
     p = 2 * X + 1 - C
     assert p == X + X + Poly.one() - C
-    assert p / 2 == X + Fraction(1, 2) - C / 2
+    assert p * Fraction(1, 2) == X + Fraction(1, 2) - C * Fraction(1, 2)
     assert (X * C).evaluate(Fraction(3), Fraction(5)) == 15
 
 
@@ -116,7 +117,7 @@ def test_binomial_poly_matches_comb_on_integers(top, k):
 
 
 def test_binomial_poly_symbolic():
-    assert binomial_poly(C, 2) == C * (C - 1) / 2
+    assert binomial_poly(C, 2) == C * (C - 1) * Fraction(1, 2)
 
 
 def test_rising_factorial_value():
@@ -144,6 +145,10 @@ def test_inexact_scalars_are_refused(value):
         X.evaluate(value, 1)
     with pytest.raises(TypeError, match="not an exact rational"):
         C.evaluate(1, value)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rising_factorial_value(value, 2)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        linearization_coefficient_hypergeometric(2, 2, 1, value)
 
 
 def test_negative_exponents_are_still_a_value_error():

@@ -66,11 +66,6 @@ def test_worked_instance_weights():
     )
 
 
-def test_text_round_trip():
-    t = matching_to_tableau(WORKED)
-    assert OscillatingTableau.from_text(t.to_text()) == t
-
-
 @pytest.mark.parametrize(
     "text",
     ["", "1;-", "-;1", "-;3;-", "-;1;1;-", "-;21;-"],
@@ -89,17 +84,6 @@ def test_round_trip_random(m):
 def test_column_statistic_matches_nonnested_weight(m):
     t = matching_to_tableau(m)
     assert tableau_weight(t, "column") == weight(m, WeightScheme.MOMENT_NONNESTED)
-
-
-def test_enumeration_counts_and_round_trip():
-    for length in range(0, 9, 2):
-        ts = list(enumerate_tableaux(length))
-        expected = 1
-        for odd in range(1, length, 2):
-            expected *= odd
-        assert len(ts) == expected
-        for t in ts:
-            assert matching_to_tableau(tableau_to_matching(t)) == t
 
 
 def test_unknown_statistic_rejected():
