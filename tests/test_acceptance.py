@@ -9,9 +9,10 @@ Each identity is checked in one place: the `verify-all` suites of
 once, in process, and each criterion asserts that its suite reported no
 failures, plus the few checks no suite or unit test makes.  The
 four-edge rooted-map census, the one suite of the extended level, runs on
-its own.  No unit test exists only to re-run a suite's check: the other
-test modules hold reference oracles, error contracts, domains past the
-suites and pins no suite makes.
+its own.  Apart from the polynomial-model tests in `test_models.py` and
+the frozen conjecture counterexamples in `test_linearization.py`, no unit
+test only re-runs a suite's check: the other test modules hold reference
+oracles, error contracts, domains past the suites and pins no suite makes.
 
 Criterion 10 fails by design.  The claim it tests, that the weakly
 increasing block arrangement always reproduces the product functional

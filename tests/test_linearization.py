@@ -143,6 +143,31 @@ def test_conjecture_control_cases_match():
     assert conjecture_check((3, 3, 4)).match
 
 
+# The weakly increasing block comparison fails at exactly these multisets
+# among all with sum at most 10; both sides are frozen, highest power first.
+SEPARATED = {
+    (1, 1, 1, 1, 3, 3): ([6, 48, 141, 177, 78, 0], [6, 45, 135, 180, 84, 0]),
+    (1, 1, 2, 3, 3): ([4, 37, 122, 167, 78, 0], [4, 34, 116, 170, 84, 0]),
+    (1, 3, 3, 3): ([2, 24, 92, 138, 68, 0], [2, 21, 86, 141, 74, 0]),
+    (2, 2, 3, 3): ([3, 29, 105, 157, 78, 0], [3, 26, 99, 160, 84, 0]),
+}
+
+GAP = 3 * C * (C + 1) * (C - 1) * (C + 2)
+
+
+@pytest.mark.parametrize("sizes", sorted(SEPARATED))
+def test_conjecture_counterexamples(sizes):
+    report = conjecture_check(sizes)
+    lhs, rhs = (poly_from_descending(side) for side in SEPARATED[sizes])
+    assert not report.match
+    assert report.lhs == lhs
+    assert report.rhs == rhs
+    # Every failure misses by the same amount, which vanishes at c = 1;
+    # that is why raw counts never betrayed the discrepancy.
+    assert report.lhs - report.rhs == GAP
+    assert GAP.evaluate(0, 1) == 0
+
+
 def test_arrangement_rescues_2233():
     # Keeping the given order, (3,2,2,3) does satisfy the identity even
     # though the sorted arrangement (2,2,3,3) does not.

@@ -1,21 +1,29 @@
 import inspect
 import sys
-from math import prod
+from math import comb, prod
 
 import pytest
 
 from assoc_hermite import models
 from assoc_hermite.matchings import Matching, _pairings
 from assoc_hermite.models import (
+    anchored_config_gf,
+    anchored_config_slots,
     associated_hermite,
+    associated_hermite_matchings,
+    associated_in_hermite_basis,
+    chebyshev_limit,
     chebyshev_rescaled_terms,
     chebyshev_u,
     chebyshev_u_matchings,
+    enumerate_anchored_configs,
     enumerate_marker_edge_matchings,
     enumerate_two_row_matchings,
+    marker_edge_model,
+    two_row_matching_gf,
     usual_hermite,
 )
-from assoc_hermite.polynomials import C, Poly, X
+from assoc_hermite.polynomials import C, Poly, X, rising_factorial
 from assoc_hermite.verification import suite_polynomial_models
 
 
@@ -54,6 +62,16 @@ def _collect_by_x(p):
     return out
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_matchings_model_matches_recurrence(n):
+    assert associated_hermite_matchings(n) == associated_hermite(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_marker_edge_model_is_the_shifted_polynomial(n):
+    assert marker_edge_model(n) == associated_hermite(n).shift_c()
+
+
 def filtered_marker_edge_matchings(n: int) -> list[Matching]:
     """Every partial matching of the vertices other than 1 and t, kept when
     no fixed point and no edge start lies beyond t, joined by the marker
@@ -79,6 +97,20 @@ def test_marker_edge_enumeration_order_is_pinned():
     assert [(m.n, m.edges) for m in enumerate_marker_edge_matchings(2)] == [
         (4, ((1, 3), (2, 4))), (4, ((1, 4),)), (4, ((1, 4), (2, 3))),
     ]
+
+
+def test_basis_expansion_identity():
+    for n in range(11):
+        expected = Poly.zero()
+        for k in range(n // 2 + 1):
+            expected = expected + (
+                (-1) ** k
+                * rising_factorial(C, k)
+                * comb(n - k, k)
+                * usual_hermite(n - 2 * k)
+            )
+        assert associated_in_hermite_basis(n) == expected
+        assert expected == associated_hermite(n).shift_c()
 
 
 def test_chebyshev_polynomials():
@@ -144,12 +176,34 @@ def test_tables_grow_the_same_in_any_order(cold_tables, monkeypatch, family):
     assert shuffled[-1] == Poly.zero()
 
 
+def test_chebyshev_limit():
+    for n in range(9):
+        assert chebyshev_limit(n) == chebyshev_u(n)
+
+
 def test_rescaled_terms_never_grow_with_c():
     for n in range(2, 9):
         shifts = {shift for (_, shift) in chebyshev_rescaled_terms(n)}
         assert max(shifts) <= 0
         if n >= 3:
             assert min(shifts) < 0  # something genuinely vanishes in the limit
+
+
+def test_anchored_config_gf():
+    for k in range(5):
+        assert anchored_config_gf(k) == (-1) ** k * rising_factorial(C, k)
+
+
+def test_anchored_config_slots():
+    for k in range(1, 4):
+        for cfg in enumerate_anchored_configs(k):
+            plain, special = anchored_config_slots(cfg)
+            assert (plain, special) == (k, 1)
+
+
+def test_two_row_gf():
+    for n in range(1, 7):
+        assert two_row_matching_gf(n) == rising_factorial(C + 1, n - 1)
 
 
 def test_two_row_matchings_shape():
