@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .matchings import Blocks, WeightScheme, _gf
+from .matchings import Blocks, WeightScheme
 from .models import associated_hermite, usual_hermite
 from .moments import apply_functional
 from .polynomials import (
     C,
     Poly,
     _exact,
+    _gf,
     binomial_poly,
     rising_factorial,
     rising_factorial_value,
@@ -162,17 +163,21 @@ _CLOSING_WEIGHTS = {
         -(closable - max(r - k, 0)), -max(r - k, 0)
     ),
 }
+# The schemes whose closing weight reads r; the others keep r at 0, so
+# states that differ only in r merge.
+_READS_R = {WeightScheme.POLY_RIGHTMOST}
 
 
 def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     """The weighted block-matching sum as a history (transfer-matrix) recurrence.
 
     The vertices are read left to right in the state (h, k, r): h arcs are
-    open, k of them opened in the current block and r since the last close.
-    A vertex opens an arc, or closes one of the h - k arcs from earlier
-    blocks; that closing arc's weight depends only on its rank among the
-    open arcs (Flajolet 1980, Viennot 1983).  Each state carries its weight
-    sum as a list of integer coefficients of c.
+    open, k of them opened in the current block and r since the last close
+    (r stays 0 under the schemes that do not read it).  A vertex opens an
+    arc, or closes one of the h - k arcs from earlier blocks; that closing
+    arc's weight depends only on its rank among the open arcs (Flajolet
+    1980, Viennot 1983).  Each state carries its weight sum as a list of
+    integer coefficients of c.
     """
     if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
         return _histories(sizes[::-1], WeightScheme.MOMENT_NO_RIGHT_CROSSING)
@@ -181,6 +186,7 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     if scheme not in _CLOSING_WEIGHTS:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     closing_weight = _CLOSING_WEIGHTS[scheme]
+    tracks_r = scheme in _READS_R
     states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1]}
     remaining = sum(sizes)
     for size in sizes:
@@ -193,7 +199,7 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
             step: dict[tuple[int, int, int], list[int]] = {}
             for (h, k, r), coeffs in states.items():
                 if h < remaining:
-                    _add_into(step, (h + 1, k + 1, r + 1), coeffs, 1)
+                    _add_into(step, (h + 1, k + 1, r + 1 if tracks_r else 0), coeffs, 1)
                 if h > k:
                     plain, special = closing_weight(h - k, k, r)
                     _add_into(step, (h - 1, k, 0), coeffs, plain)

@@ -1,7 +1,7 @@
 """Partial matchings on {1, ..., n}: enumeration, edge statistics, weights.
 
 A matching is a set of disjoint edges (i, j) with 1 <= i < j <= n; vertices
-on no edge are fixed points.  Three private helpers carry every matching
+on no edge are fixed points.  Two private helpers carry every matching
 model in the package:
 
 - `_pairings` is the one pairing kernel.  The smallest unmatched vertex is
@@ -13,7 +13,6 @@ model in the package:
   each edge nests and of those crossing it from the left or right.  Every
   weight and edge statistic reads them, the weights of coloured matchings
   through a colour mask; `edge_stats` gathers one edge's into a record.
-- `_gf` is the one fold that sums weights into a polynomial.
 
 Enumerators build their results through `_trusted`, without the public
 constructors' validation.
@@ -24,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .polynomials import Poly
 
@@ -213,15 +212,6 @@ def _check_cap(n: int) -> None:
         raise ValueError("vertex count must be nonnegative")
     if n > DEFAULT_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_CAP}")
-
-
-def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
-    """The sum of weigh(obj) over the objects, built as one polynomial."""
-    acc: dict = {}
-    for obj in objects:
-        for key, q in weigh(obj).terms.items():
-            acc[key] = acc.get(key, 0) + q
-    return Poly._raw({key: q for key, q in acc.items() if q})
 
 
 def _pairings(

@@ -21,7 +21,6 @@ from .matchings import (
     Matching,
     WeightScheme,
     _check_cap,
-    _gf,
     _pairings,
     _special_mask,
     _trusted,
@@ -31,7 +30,7 @@ from .matchings import (
     nonnested_edges,
     weight,
 )
-from .polynomials import C, Poly, X, rising_factorial
+from .polynomials import C, Poly, X, _gf, rising_factorial
 
 
 def _three_term(table: list[Poly], b, n: int) -> Poly:

@@ -17,14 +17,13 @@ from typing import Iterator
 from .matchings import (
     Edge,
     WeightScheme,
-    _gf,
     _relation_masks,
     _trusted,
     enumerate_complete,
     weight,
 )
 from .models import associated_hermite
-from .polynomials import C, Poly
+from .polynomials import C, Poly, _gf
 
 DyckPath = tuple[int, ...]
 

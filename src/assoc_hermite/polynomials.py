@@ -9,8 +9,8 @@ exact rational (any numbers.Rational, int and bool included): a float,
 Decimal or complex raises TypeError instead of being rounded to a fraction.
 
 The public constructor checks every term.  The ring operations, shift_c and
-the matchings fold drop zero sums themselves and build their results through
-the private Poly._raw, which takes such a canonical term map unchecked.
+`_gf`, the one fold that sums weights, hand their sums to the private
+Poly._raw: the one place zero sums are dropped, with no other check.
 
 Instances are immutable by convention.  Every operation returns a fresh
 polynomial and never mutates its operands.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from numbers import Rational
-from typing import Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int]
@@ -55,10 +55,10 @@ class Poly:
 
     @classmethod
     def _raw(cls, terms: dict[Key, Fraction]) -> "Poly":
-        """A polynomial that owns terms as given: the caller guarantees int
-        exponents >= 0 and nonzero Fraction coefficients."""
+        """A sum's term map made canonical by dropping its zero coefficients;
+        the caller guarantees int exponents >= 0 and Fraction coefficients."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "terms", {key: q for key, q in terms.items() if q})
         return p
 
     def __setattr__(self, name, value):
@@ -106,11 +106,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return Poly._raw(out)
 
     __radd__ = __add__
@@ -138,11 +134,7 @@ class Poly:
         for (xa, ca), qa in self.terms.items():
             for (xb, cb), qb in other.terms.items():
                 key = (xa + xb, ca + cb)
-                total = out.get(key, 0) + qa * qb
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + qa * qb
         return Poly._raw(out)
 
     __rmul__ = __mul__
@@ -194,11 +186,7 @@ class Poly:
         for (xd, cd), q in self.terms.items():
             for j in range(cd + 1):
                 key = (xd, j)
-                total = out.get(key, 0) + q * comb(cd, j)
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + q * comb(cd, j)
         return Poly._raw(out)
 
     # ----- encoding -----
@@ -249,6 +237,15 @@ class Poly:
 
 X = Poly.x()
 C = Poly.c()
+
+
+def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
+    """The sum of weigh(obj) over the objects, built as one polynomial."""
+    acc: dict = {}
+    for obj in objects:
+        for key, q in weigh(obj).terms.items():
+            acc[key] = acc.get(key, 0) + q
+    return Poly._raw(acc)
 
 
 def rising_factorial(base: Poly | Scalar, k: int) -> Poly:

@@ -42,7 +42,6 @@ from .maps import (
 from .matchings import (
     Matching,
     WeightScheme,
-    _gf,
     edge_stats,
     enumerate_complete,
     is_connected,
@@ -77,7 +76,7 @@ from .moments import (
     paired_to_permutation,
     paired_weight,
 )
-from .polynomials import C, Poly, rising_factorial, rising_factorial_value
+from .polynomials import C, Poly, _gf, rising_factorial, rising_factorial_value
 from .tableaux import (
     OscillatingTableau,
     _edge_labels,
@@ -134,14 +133,19 @@ class RunReport:
 
 def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Callable[[], RunReport]]:
     """Decorate a function that records its cases into a report: the suite
-    makes the report, times the call and returns the report."""
+    makes the report, times the call and returns the report.  An exception
+    raised inside the body becomes one more failed case, after the cases
+    recorded before it, so the other suites still run and report."""
 
     def wrap(body: Callable[[RunReport], None]) -> Callable[[], RunReport]:
         @functools.wraps(body)
         def run() -> RunReport:
             rec = RunReport(name)
             start = time.perf_counter()
-            body(rec)
+            try:
+                body(rec)
+            except Exception as exc:
+                rec.check("uncaught exception", f"{type(exc).__name__}: {exc}", "no exception")
             rec.seconds = time.perf_counter() - start
             return rec
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assoc_hermite import cli
+from assoc_hermite import cli, verification
 from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
@@ -413,6 +413,55 @@ def test_bijection_quadruples(capsys):
     assert loop["tags"] == []
 
 
+@pytest.mark.parametrize(
+    "op, value",
+    [
+        ("tableau", "(1,3)(2,4)"),
+        ("tableau-inv", "-;1;-"),
+        ("tailswap", "(1,3)(2,4)"),
+        ("map-matching", '{"rotation": [1,0], "pairing": [1,0], "root": 0}'),
+        ("quadruples", "2"),
+    ],
+    ids=lambda arg: arg if arg in BIJECTIONS else "",
+)
+def test_tags_apply_only_to_tailswap_inverse(capsys, op, value):
+    # Refused before the value is parsed: an unparseable one gets the same error.
+    for text in (value, "x"):
+        rc, out, err = run(capsys, "bijection", op, "--tags", "(1,3)", "--", text)
+        assert (rc, out, err) == (2, "", "error: --tags applies only to tailswap-inv\n")
+
+
+@pytest.mark.parametrize("exc", [ValueError, AssertionError])
+def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch, exc):
+    @verification._suite("raises")
+    def raises(rec):
+        rec.check("before the raise", 1, 1)
+        raise exc("boom")
+
+    @verification._suite("healthy")
+    def healthy(rec):
+        rec.check("after the raise", 1, 1)
+
+    monkeypatch.setattr(verification, "DESK_SUITES", (raises, healthy))
+    rc, out, err = run(capsys, "verify-all")
+    assert rc == 1
+    assert json.loads(out) == [
+        {
+            "suite": "raises",
+            "cases": 2,
+            "failures": [
+                {
+                    "case": "uncaught exception",
+                    "expected": "no exception",
+                    "actual": f"{exc.__name__}: boom",
+                }
+            ],
+        },
+        {"suite": "healthy", "cases": 1, "failures": []},
+    ]
+    assert "Traceback" not in err
+
+
 def test_bijection_rejects_unknown_operation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bijection", "transmogrify", "(1,2)"])
@@ -472,7 +521,8 @@ def command_lines(draw):
     if command == "bijection":
         op = draw(st.sampled_from(BIJECTIONS + ("unknown",)))
         value = draw(MATCHING | TABLEAU | MAP_JSON | st.integers(-2, 2).map(str))
-        return ["bijection", *fmt, "--tags", draw(MATCHING), op, "--", value]
+        tags = draw(st.just([]) | MATCHING.map(lambda text: ["--tags", text]))
+        return ["bijection", *fmt, *tags, op, "--", value]
     return [command, draw(NUMBER), draw(NUMBER), *fmt]
 
 

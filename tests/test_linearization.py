@@ -21,12 +21,11 @@ from assoc_hermite.linearization import (
 from assoc_hermite.matchings import (
     Blocks,
     WeightScheme,
-    _gf,
     enumerate_inhomogeneous,
     weight,
 )
 from assoc_hermite.models import associated_hermite, usual_hermite
-from assoc_hermite.polynomials import C, Poly
+from assoc_hermite.polynomials import C, Poly, _gf
 
 
 def poly_from_descending(coeffs: list[int]) -> Poly:
@@ -102,9 +101,14 @@ SMALL_ARRANGEMENTS = [
 ]
 
 
+# Blocks of one vertex each put a block boundary at every vertex, past the
+# five blocks the small arrangements stop at.
+UNIT_BLOCKS = [(1,) * n for n in range(0, 11, 2)]
+
+
 def test_histories_match_enumeration_on_small_arrangements():
     assert len(SMALL_ARRANGEMENTS) * len(WeightScheme) == 6060
-    for sizes in SMALL_ARRANGEMENTS:
+    for sizes in SMALL_ARRANGEMENTS + UNIT_BLOCKS:
         for scheme in WeightScheme:
             assert _histories(sizes, scheme) == enumerated_gf(sizes, scheme), (sizes, scheme)
 

@@ -12,6 +12,7 @@ from assoc_hermite.polynomials import (
     C,
     Poly,
     X,
+    _gf,
     binomial_poly,
     rising_factorial,
     rising_factorial_value,
@@ -87,6 +88,10 @@ def test_scalar_interplay():
 def test_zero_terms_are_dropped():
     assert (X - X).terms == {}
     assert Poly({(1, 0): Fraction(0)}) == Poly.zero()
+    # Cancellation through each accumulator that builds via Poly._raw.
+    assert ((X + C) * (X - C)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (C - 1).shift_c().terms == {(0, 1): 1}
+    assert _gf([X, -X, C, -C], lambda p: p).terms == {}
 
 
 def test_poly_is_not_hashable():
