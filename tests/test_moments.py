@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from assoc_hermite.matchings import WeightScheme
 from assoc_hermite.moments import (
     PairedMatching,
+    _paired_gf,
     cycle_count,
     enumerate_dyck_paths,
     enumerate_paired,
@@ -15,7 +18,7 @@ from assoc_hermite.moments import (
     paired_to_permutation,
     paired_weight,
 )
-from assoc_hermite.polynomials import C, Poly
+from assoc_hermite.polynomials import C, Poly, _gf
 
 
 def test_dyck_path_counts():
@@ -51,6 +54,31 @@ def test_enumerate_paired_is_guarded_by_the_complete_enumerator():
     paired = enumerate_paired(9, 9)
     with pytest.raises(ValueError, match="^n=18 exceeds the enumeration cap 16$"):
         next(paired)
+
+
+def test_paired_gf_matches_the_per_colouring_sum():
+    for total in range(9):
+        for n in range(total + 1):
+            fast = _paired_gf(n, total - n)
+            assert fast == _gf(enumerate_paired(n, total - n), paired_weight)
+            for q in fast.terms.values():
+                assert type(q) is Fraction and q != 0
+
+
+def test_paired_gf_is_guarded_by_the_complete_enumerator():
+    assert _paired_gf(9, 8) == Poly.zero()
+    with pytest.raises(ValueError, match="^n=18 exceeds the enumeration cap 16$"):
+        _paired_gf(9, 9)
+
+
+@pytest.mark.parametrize("n, m", [(-1, 3), (3, -1), (-2, -2)])
+def test_negative_row_sizes_are_refused(n, m):
+    with pytest.raises(ValueError, match="^row sizes must be nonnegative$"):
+        PairedMatching(n, m, (), ((1, 2),))
+    with pytest.raises(ValueError, match="^row sizes must be nonnegative$"):
+        list(enumerate_paired(n, m))
+    with pytest.raises(ValueError, match="^row sizes must be nonnegative$"):
+        _paired_gf(n, m)
 
 
 def test_flip_candidate_picks_the_leftmost_nest_free_edge():
