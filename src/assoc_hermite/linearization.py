@@ -23,8 +23,8 @@ from .polynomials import (
     Poly,
     _exact,
     _gf,
+    _rising_factorials,
     binomial_poly,
-    rising_factorial,
     rising_factorial_value,
 )
 
@@ -37,6 +37,7 @@ def linearization_coefficient(N: int, M: int, j: int) -> Poly:
     """
     if not 0 <= j <= min(N, M):
         raise ValueError(f"j must lie in 0..min(N,M), got {j}")
+    rising = _rising_factorials(C + (N + M - 2 * j), j)
 
     def term(k: int) -> Poly:
         scalar = (
@@ -44,7 +45,7 @@ def linearization_coefficient(N: int, M: int, j: int) -> Poly:
             * math.comb(M - j, k)
             * rising_factorial_value(j - k + 1, k)
         )
-        return scalar * rising_factorial(C + (N + M - 2 * j), j - k)
+        return scalar * rising[j - k]
 
     return _gf(range(min(N - j, M - j, j) + 1), term)
 
@@ -205,7 +206,7 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
                     _add_into(step, (h - 1, k, 0), coeffs, plain)
                     _add_into(step, (h - 1, k, 0), coeffs, special, shift=1)
             states = step
-    return Poly({(0, j): q for j, q in enumerate(states.get((0, 0, 0), ()))})
+    return Poly._from_ints({(0, j): q for j, q in enumerate(states.get((0, 0, 0), ()))})
 
 
 def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:

@@ -3,9 +3,12 @@
 The polynomials H_n(x; c) satisfy H_{n+1} = x H_n - (n - 1 + c) H_{n-1}
 with H_0 = 1 and H_n = 0 for n < 0.  At c = 1 they reduce to the usual
 Hermite polynomials H_{n+1} = x H_n - n H_{n-1}, and Chebyshev U_n sets that
-coefficient to 1: one builder runs all three recurrences.  Each model below
-builds the same polynomials from weighted matchings, and the Chebyshev limit
-extracts U_n(x) from the leading behaviour in c.
+coefficient to 1: one builder runs all three recurrences.  Every coefficient
+of the three families is an integer (a signed count of matchings), so the
+builder runs on dense int rows and makes a degree's Poly, with the usual
+Fraction coefficients, only when that degree is asked for.  Each model
+below builds the same polynomials from weighted matchings, and the Chebyshev
+limit extracts U_n(x) from the leading behaviour in c.
 """
 
 from __future__ import annotations
@@ -30,32 +33,66 @@ from .matchings import (
     nonnested_edges,
     weight,
 )
-from .polynomials import C, Poly, X, _gf, rising_factorial
+from .polynomials import C, Poly, _gf, _rising_factorials
 
 
-def _three_term(table: list[Poly], b, n: int) -> Poly:
-    """P_n of P_k = x P_{k-1} - b(k) P_{k-2}, zero for n < 0, extending the
-    list table of P_0, P_1, ... in place so each degree is computed once."""
+# A dense int row: row[xd][cd] is the coefficient of x^xd c^cd.
+_Row = list[list[int]]
+
+
+def _next_row(p1: _Row, p2: _Row, b0: int, b1: int) -> _Row:
+    """The row of x P1 - (b0 + b1 c) P2: the x-shift copies P1's columns one
+    place up, and each b-term is subtracted in place."""
+    row = [[]] + [col[:] for col in p1]
+    for xd, col in enumerate(p2):
+        out = row[xd]
+        for shift, factor in ((0, b0), (1, b1)):
+            if factor:
+                out.extend([0] * (len(col) + shift - len(out)))
+                for cd, q in enumerate(col, shift):
+                    out[cd] -= factor * q
+    return row
+
+
+def _new_table() -> tuple[list[_Row], dict[int, Poly]]:
+    """A family table: the dense int rows of P_0 = 1 and P_1 = x, and the
+    Poly of each degree asked for so far (none yet)."""
+    return [[[1]], [[], [1]]], {}
+
+
+def _three_term(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> Poly:
+    """P_n of P_k = x P_{k-1} - (b0 + b1 c) P_{k-2}, where b(k) = (b0, b1),
+    zero for n < 0.
+
+    Every coefficient is an integer, so the rows extend in int arithmetic,
+    each degree once.  A degree's Poly is built from its row the first time
+    it is asked for and kept beside it.
+    """
     if n < 0:
         return Poly.zero()
-    for k in range(len(table), n + 1):
-        table.append(X * table[k - 1] - b(k) * table[k - 2])
-    return table[n]
+    rows, polys = table
+    if n not in polys:
+        for k in range(len(rows), n + 1):
+            rows.append(_next_row(rows[k - 1], rows[k - 2], *b(k)))
+        polys[n] = Poly._from_ints(
+            {(xd, cd): q for xd, col in enumerate(rows[n]) for cd, q in enumerate(col)}
+        )
+    return polys[n]
 
 
-_ASSOCIATED = [Poly.one(), X]
-_HERMITE = [Poly.one(), X]
-_CHEBYSHEV = [Poly.one(), X]
+_ASSOCIATED = _new_table()
+_HERMITE = _new_table()
+_CHEBYSHEV = _new_table()
 
 
 def associated_hermite(n: int) -> Poly:
     """H_n(x; c) from the three-term recurrence."""
-    return _three_term(_ASSOCIATED, lambda k: C + (k - 2), n)
+    return _three_term(_ASSOCIATED, lambda k: (k - 2, 1), n)
 
 
 def usual_hermite(n: int) -> Poly:
     """The matchings-normalized Hermite polynomial H_n(x)."""
-    return _three_term(_HERMITE, lambda k: k - 1, n)
+    return _three_term(_HERMITE, lambda k: (k - 1, 0), n)
 
 
 def associated_hermite_matchings(n: int) -> Poly:
@@ -107,15 +144,16 @@ def marker_edge_model(n: int) -> Poly:
 
 def associated_in_hermite_basis(n: int) -> Poly:
     """The sum (-1)^k (c)_k binom(n-k, k) H_{n-2k}(x), equal to H_n(x; c+1)."""
+    rising = _rising_factorials(C, n // 2)
     return _gf(
         range(n // 2 + 1),
-        lambda k: (-1) ** k * comb(n - k, k) * rising_factorial(C, k) * usual_hermite(n - 2 * k),
+        lambda k: (-1) ** k * comb(n - k, k) * rising[k] * usual_hermite(n - 2 * k),
     )
 
 
 def chebyshev_u(n: int) -> Poly:
     """Chebyshev U_n(x) via U_{n+1} = x U_n - U_{n-1}."""
-    return _three_term(_CHEBYSHEV, lambda k: 1, n)
+    return _three_term(_CHEBYSHEV, lambda k: (1, 0), n)
 
 
 def chebyshev_u_matchings(n: int) -> Poly:

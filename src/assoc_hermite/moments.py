@@ -234,7 +234,7 @@ def _paired_gf(n: int, m: int) -> Poly:
                 else:
                     cd += not (nests[i] or left[i] or right[i] & green)
             counts[cd] = counts.get(cd, 0) + sign
-        return Poly._raw({(0, cd): Fraction(s) for cd, s in counts.items()})
+        return Poly._from_ints({(0, cd): s for cd, s in counts.items()})
 
     return _gf(enumerate_complete(total), weigh)
 

@@ -11,6 +11,10 @@ Decimal or complex raises TypeError instead of being rounded to a fraction.
 The public constructor checks every term.  The ring operations, shift_c and
 `_gf`, the one fold that sums weights, hand their sums to the private
 Poly._raw: the one place zero sums are dropped, with no other check.
+Integer coefficients computed elsewhere (the rows of the three-term
+recurrences, the history recurrences, the paired-matching sums) become a
+Poly through Poly._from_ints, which hands them to Poly._raw, and nowhere
+else.
 
 Instances are immutable by convention.  Every operation returns a fresh
 polynomial and never mutates its operands.
@@ -60,6 +64,12 @@ class Poly:
         p = object.__new__(cls)
         object.__setattr__(p, "terms", {key: q for key, q in terms.items() if q})
         return p
+
+    @classmethod
+    def _from_ints(cls, terms: Mapping[Key, int]) -> "Poly":
+        """The Poly of int coefficients, zeros dropped; the caller guarantees
+        int exponents >= 0 and int coefficients."""
+        return cls._raw({key: Fraction(q) for key, q in terms.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -248,15 +258,21 @@ def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
     return Poly._raw(acc)
 
 
-def rising_factorial(base: Poly | Scalar, k: int) -> Poly:
-    """The product base (base+1) ... (base+k-1); equals 1 when k = 0."""
+def _rising_factorials(base: Poly | Scalar, k: int) -> list[Poly]:
+    """The prefix list (base)_0, (base)_1, ..., (base)_k, each one product
+    from the one before."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
     base = base if isinstance(base, Poly) else Poly.constant(base)
-    result = Poly.one()
+    prefixes = [Poly.one()]
     for i in range(k):
-        result = result * (base + i)
-    return result
+        prefixes.append(prefixes[-1] * (base + i))
+    return prefixes
+
+
+def rising_factorial(base: Poly | Scalar, k: int) -> Poly:
+    """The product base (base+1) ... (base+k-1); equals 1 when k = 0."""
+    return _rising_factorials(base, k)[k]
 
 
 def binomial_poly(top: Poly | Scalar, k: int) -> Poly:

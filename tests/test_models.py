@@ -25,6 +25,7 @@ from assoc_hermite.models import (
 )
 from assoc_hermite.polynomials import C, Poly, X, rising_factorial
 from assoc_hermite.verification import suite_polynomial_models
+from test_polynomials import assert_canonical
 
 
 def test_low_degree_polynomials():
@@ -127,9 +128,10 @@ FAMILY_TABLES = ("_ASSOCIATED", "_HERMITE", "_CHEBYSHEV")
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """Every family table reset to P_0 and P_1 alone, restored afterwards."""
+    """Every family table reset to the rows of P_0 and P_1 alone, with no
+    Poly built, restored afterwards."""
     for name in FAMILY_TABLES:
-        monkeypatch.setattr(models, name, [Poly.one(), X])
+        monkeypatch.setattr(models, name, models._new_table())
 
 
 def test_recurrences_past_the_default_recursion_limit(cold_tables):
@@ -171,9 +173,29 @@ def test_tables_grow_the_same_in_any_order(cold_tables, monkeypatch, family):
     degrees = [17, 1, 42, -1, 3, 0, 41, 5, 2, 40]
     shuffled = {n: family(n) for n in degrees}
     for name in FAMILY_TABLES:
-        monkeypatch.setattr(models, name, [Poly.one(), X])
+        monkeypatch.setattr(models, name, models._new_table())
     assert shuffled == {n: family(n) for n in sorted(degrees)}
     assert shuffled[-1] == Poly.zero()
+
+
+# b(k) of P_k = x P_{k-1} - b(k) P_{k-2} for each family, as a Poly.
+FAMILY_B = [
+    (associated_hermite, lambda k: C + (k - 2)),
+    (usual_hermite, lambda k: Poly.constant(k - 1)),
+    (chebyshev_u, lambda k: Poly.one()),
+]
+
+
+@pytest.mark.parametrize("family, b", FAMILY_B, ids=FAMILY_IDS)
+def test_int_rows_match_the_poly_recurrence(cold_tables, family, b):
+    # The oracle runs the recurrence in Poly (Fraction) arithmetic.
+    table = [Poly.one(), X]
+    for k in range(2, 61):
+        table.append(X * table[k - 1] - b(k) * table[k - 2])
+    for n in reversed(range(61)):
+        p = family(n)
+        assert_canonical(p)
+        assert p == table[n], n
 
 
 def test_chebyshev_limit():
