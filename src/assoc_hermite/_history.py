@@ -1,0 +1,152 @@
+"""History (transfer-matrix) recurrences for sums over matchings.
+
+A history reads the vertices left to right and records, at each vertex,
+whether an arc opens or closes there.  Whenever a closing arc's weight
+depends only on a few counts of the arcs open at that moment, the sum of
+weights over all matchings is a sum over histories in those counts, which
+costs time polynomial in the number of vertices (Flajolet, "Combinatorial
+aspects of continued fractions", 1980; Viennot, UQAM 1983).  Each state
+carries its weight sum as a list of integer coefficients of c, and the
+final list becomes a Poly through Poly._from_ints.
+
+- `_histories` sums complete matchings on consecutive blocks with no arc
+  inside a block, under every WeightScheme; unit blocks give all complete
+  matchings, so the moments too.
+- `_paired_rows` sums the signed weights of paired matchings on consecutive
+  rows, black arcs staying inside one row.
+
+The enumerators these replace stay in the tests as their oracles.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from .matchings import WeightScheme
+from .polynomials import Poly
+
+_States = dict[tuple[int, int, int], list[int]]
+
+
+def _add_into(
+    states: _States, key: tuple[int, int, int], coeffs: list[int], factor: int, shift: int = 0
+) -> None:
+    """states[key] += factor * c**shift * coeffs, on coefficient lists in c."""
+    if not factor:
+        return
+    acc = states.setdefault(key, [])
+    acc.extend([0] * (len(coeffs) + shift - len(acc)))
+    for i, q in enumerate(coeffs, shift):
+        acc[i] += factor * q
+
+
+def _in_c(coeffs: Sequence[int]) -> Poly:
+    """The polynomial in c with these int coefficients, lowest degree first."""
+    return Poly._from_ints({(0, j): q for j, q in enumerate(coeffs)})
+
+
+# How closing one arc weighs, as plain + special * c, given the number of
+# closable arcs, k and r (see _histories), for each scheme read left to right.
+_CLOSING_WEIGHTS = {
+    # Only the oldest open arc is nested by no other arc.
+    WeightScheme.MOMENT_NONNESTED: lambda closable, k, r: (closable - 1, 1),
+    # Only the newest open arc has no right crossing, and it is closable
+    # only when no arc opened in the current block.
+    WeightScheme.MOMENT_NO_RIGHT_CROSSING: lambda closable, k, r: (
+        (closable - 1, 1) if k == 0 else (closable, 0)
+    ),
+    # An arc nests nothing and has no left crossing exactly when no vertex
+    # closed since it opened: r - k of the closable arcs, each weighing -c.
+    WeightScheme.POLY_RIGHTMOST: lambda closable, k, r: (
+        -(closable - max(r - k, 0)), -max(r - k, 0)
+    ),
+}
+# The schemes whose closing weight reads r; the others keep r at 0, so
+# states that differ only in r merge.
+_READS_R = {WeightScheme.POLY_RIGHTMOST}
+
+
+def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
+    """The weighted block-matching sum as a history recurrence.
+
+    The vertices are read left to right in the state (h, k, r): h arcs are
+    open, k of them opened in the current block and r since the last close
+    (r stays 0 under the schemes that do not read it).  A vertex opens an
+    arc, or closes one of the h - k arcs from earlier blocks; that closing
+    arc's weight depends only on its rank among the open arcs.
+    """
+    if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
+        return _histories(sizes[::-1], WeightScheme.MOMENT_NO_RIGHT_CROSSING)
+    if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
+        return _histories(sizes[::-1], WeightScheme.POLY_RIGHTMOST)
+    if scheme not in _CLOSING_WEIGHTS:
+        raise ValueError(f"unknown weight scheme {scheme!r}")
+    closing_weight = _CLOSING_WEIGHTS[scheme]
+    tracks_r = scheme in _READS_R
+    states: _States = {(0, 0, 0): [1]}
+    remaining = sum(sizes)
+    for size in sizes:
+        boundary: _States = {}
+        for (h, _, r), coeffs in states.items():
+            _add_into(boundary, (h, 0, r), coeffs, 1)
+        states = boundary
+        for _ in range(size):
+            remaining -= 1
+            step: _States = {}
+            for (h, k, r), coeffs in states.items():
+                if h < remaining:
+                    _add_into(step, (h + 1, k + 1, r + 1 if tracks_r else 0), coeffs, 1)
+                if h > k:
+                    plain, special = closing_weight(h - k, k, r)
+                    _add_into(step, (h - 1, k, 0), coeffs, plain)
+                    _add_into(step, (h - 1, k, 0), coeffs, special, shift=1)
+            states = step
+    return _in_c(states.get((0, 0, 0), ()))
+
+
+def _check_rows(rows: Sequence[int]) -> None:
+    if any(n < 0 for n in rows):
+        raise ValueError("row sizes must be nonnegative")
+
+
+def _paired_rows(rows: Sequence[int]) -> Poly:
+    """The sum of the signed paired-matching weights on consecutive rows.
+
+    A paired matching here is a complete matching of the sum(rows) vertices
+    whose arcs are black or green, every black arc inside one row; with two
+    rows this is enumerate_paired, and each matching weighs as in
+    paired_weight.  The vertices are read left to right in the state
+    (g, k, r): g green and k black arcs are open, r of the black ones opened
+    since the last close or green opening.
+
+    - A green arc weighs c only when no newer green arc is open as it
+      closes, so closing one of the g weighs c + (g - 1).
+    - A black arc weighs -c only when nothing closes and no green arc opens
+      inside it, which holds for exactly the r newest black arcs, so closing
+      one of the k weighs -(r c + (k - r)).
+    - Every close and every green opening sets r to 0, and k is 0 at every
+      row boundary.
+    """
+    _check_rows(rows)
+    remaining = sum(rows)
+    if remaining % 2:
+        return Poly.zero()
+    states: _States = {(0, 0, 0): [1]}
+    for size in rows:
+        for _ in range(size):
+            remaining -= 1
+            step: _States = {}
+            for (g, k, r), coeffs in states.items():
+                if g + k < remaining:
+                    _add_into(step, (g + 1, k, 0), coeffs, 1)
+                    _add_into(step, (g, k + 1, r + 1), coeffs, 1)
+                if g:
+                    _add_into(step, (g - 1, k, 0), coeffs, g - 1)
+                    _add_into(step, (g - 1, k, 0), coeffs, 1, shift=1)
+                if k:
+                    _add_into(step, (g, k - 1, 0), coeffs, r - k)
+                    _add_into(step, (g, k - 1, 0), coeffs, -r, shift=1)
+            states = step
+        # Black arcs stay inside their row.
+        states = {key: coeffs for key, coeffs in states.items() if key[1] == 0}
+    return _in_c(states.get((0, 0, 0), ()))

@@ -53,25 +53,28 @@ GENERATORS = (
     "chebyshev-limit",
 )
 
-# Each command refuses sizes past its limit before doing any work (times at
-# the limit, Python 3.11 on a shared 2-core x86 host).  The `poly` generators
-# that do not enumerate run the three-term recurrence on int rows.  At 450,
-# `chebyshev` and `hermite` take 0.4 s; `recurrence` and `chebyshev-limit`
-# 5 s, and `recurrence --shifted` 19 s (shift_c is Fraction arithmetic), each
-# peaking near 560-590 MB, mostly the rows of H_0..H_450; `basis` takes 26 s
-# and 81 MB in Fraction products of (c)_k and H_{n-2k}.  `linearize` and
-# `mixed` cost about the 4.5th power of n + m, so their total stops where the
-# worst split fits in 20 s (`linearize 70 70`: 16 s; `mixed` at most 12 s,
-# near 60 80).  moment(k) enumerates Dyck paths (`moments --upto 20`: about
-# 6 s), and `conjecture` needs moment(sum_max) (`--sum-max 20`: about 9 s).
-# `gf` sums block matchings by a recurrence; at total 200 the worst found is
-# `rightmost` on 80 blocks of 1 then one of 120 (6 s), and the other schemes
-# stay under 1 s.  `quadruples` translates every rooted map (8,162 at 5
-# edges, about 1.4 s).  The other bijections take one object of at most 300
-# edges; the worst is `tailswap` on the all-crossing matching (i, i+300),
-# cubic through its two crossing-count assertions per swap (8 s), and the
-# rest stay under 0.6 s.  `poly matchings` and `marker-edge` enumerate at
-# most DEFAULT_CAP vertices.
+# Each command refuses sizes past its limit before doing any work.  Times at
+# the limit were all taken in one session (Python 3.11, a shared 2-core x86
+# host, fresh interpreters), against a budget of 20 s.  The `poly`
+# generators that do not enumerate run the three-term recurrence on int
+# rows.  At 450, `chebyshev` and `hermite` take 0.3 s; `recurrence` and
+# `chebyshev-limit` 3.6-3.7 s, and `recurrence --shifted` 16-18 s (shift_c is
+# Fraction arithmetic), each peaking near 560-590 MB, mostly the rows of
+# H_0..H_450; `basis` sums on the same int rows in 3.0-3.7 s and 78 MB.
+# `linearize` and `mixed` cost about the 4.5th power of n + m, so their total
+# stops where the worst split fits in the budget (`linearize 70 70`: 10.5 s;
+# `mixed 60 80`: 7.4 s).  moment(k) enumerates Dyck paths (`moments --upto
+# 20` and `orthogonality 10 10`: 11.4-11.5 s), and `conjecture` needs
+# moment(sum_max) (`--sum-max 20`: 14.5-18.1 s).  `gf` sums block matchings
+# by a recurrence; at total 200 the worst found is `rightmost` on 80 blocks
+# of 1 then one of 120 (15-16 s; its mirror under `reversed-rightmost`
+# 18.5 s), and the moment schemes take 0.9-1.6 s on 50,50,50,50 and
+# 40,40,40,40,40.
+# `quadruples` translates every rooted map (8,162 at 5 edges, 2.4 s).  The
+# other bijections take one object of at most 300 edges; the worst is
+# `tailswap` on the all-crossing matching (i, i+300), cubic through its two
+# crossing-count assertions per swap (6.2 s).  `poly matchings` and
+# `marker-edge` enumerate at most DEFAULT_CAP vertices.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20

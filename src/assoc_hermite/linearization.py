@@ -5,7 +5,8 @@ same family with coefficients that are polynomials in c with nonnegative
 integer coefficients; a mixed product with a usual Hermite factor also
 linearizes when the associated factor's degree is at least the other
 degree minus one.  The conjecture checker compares the functional of a
-longer product against a weighted inhomogeneous-matching count.
+longer product against a weighted inhomogeneous-matching count, which
+`_history._histories` sums by a history recurrence without enumerating.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._history import _histories
 from .matchings import Blocks, WeightScheme
 from .models import associated_hermite, usual_hermite
 from .moments import apply_functional
@@ -134,79 +136,6 @@ def product_functional(ns: Sequence[int]) -> Poly:
     for n in ns:
         p = p * associated_hermite(n)
     return apply_functional(p)
-
-
-def _add_into(
-    states: dict, key: tuple[int, int, int], coeffs: list[int], factor: int, shift: int = 0
-) -> None:
-    """states[key] += factor * c**shift * coeffs, on coefficient lists in c."""
-    if not factor:
-        return
-    acc = states.setdefault(key, [])
-    acc.extend([0] * (len(coeffs) + shift - len(acc)))
-    for i, q in enumerate(coeffs, shift):
-        acc[i] += factor * q
-
-
-# How closing one arc weighs, as plain + special * c, given the number of
-# closable arcs, k and r (see _histories), for each scheme read left to right.
-_CLOSING_WEIGHTS = {
-    # Only the oldest open arc is nested by no other arc.
-    WeightScheme.MOMENT_NONNESTED: lambda closable, k, r: (closable - 1, 1),
-    # Only the newest open arc has no right crossing, and it is closable
-    # only when no arc opened in the current block.
-    WeightScheme.MOMENT_NO_RIGHT_CROSSING: lambda closable, k, r: (
-        (closable - 1, 1) if k == 0 else (closable, 0)
-    ),
-    # An arc nests nothing and has no left crossing exactly when no vertex
-    # closed since it opened: r - k of the closable arcs, each weighing -c.
-    WeightScheme.POLY_RIGHTMOST: lambda closable, k, r: (
-        -(closable - max(r - k, 0)), -max(r - k, 0)
-    ),
-}
-# The schemes whose closing weight reads r; the others keep r at 0, so
-# states that differ only in r merge.
-_READS_R = {WeightScheme.POLY_RIGHTMOST}
-
-
-def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
-    """The weighted block-matching sum as a history (transfer-matrix) recurrence.
-
-    The vertices are read left to right in the state (h, k, r): h arcs are
-    open, k of them opened in the current block and r since the last close
-    (r stays 0 under the schemes that do not read it).  A vertex opens an
-    arc, or closes one of the h - k arcs from earlier blocks; that closing
-    arc's weight depends only on its rank among the open arcs (Flajolet
-    1980, Viennot 1983).  Each state carries its weight sum as a list of
-    integer coefficients of c.
-    """
-    if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
-        return _histories(sizes[::-1], WeightScheme.MOMENT_NO_RIGHT_CROSSING)
-    if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
-        return _histories(sizes[::-1], WeightScheme.POLY_RIGHTMOST)
-    if scheme not in _CLOSING_WEIGHTS:
-        raise ValueError(f"unknown weight scheme {scheme!r}")
-    closing_weight = _CLOSING_WEIGHTS[scheme]
-    tracks_r = scheme in _READS_R
-    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 0): [1]}
-    remaining = sum(sizes)
-    for size in sizes:
-        boundary: dict[tuple[int, int, int], list[int]] = {}
-        for (h, _, r), coeffs in states.items():
-            _add_into(boundary, (h, 0, r), coeffs, 1)
-        states = boundary
-        for _ in range(size):
-            remaining -= 1
-            step: dict[tuple[int, int, int], list[int]] = {}
-            for (h, k, r), coeffs in states.items():
-                if h < remaining:
-                    _add_into(step, (h + 1, k + 1, r + 1 if tracks_r else 0), coeffs, 1)
-                if h > k:
-                    plain, special = closing_weight(h - k, k, r)
-                    _add_into(step, (h - 1, k, 0), coeffs, plain)
-                    _add_into(step, (h - 1, k, 0), coeffs, special, shift=1)
-            states = step
-    return Poly._from_ints({(0, j): q for j, q in enumerate(states.get((0, 0, 0), ()))})
 
 
 def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:

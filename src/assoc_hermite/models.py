@@ -6,7 +6,8 @@ Hermite polynomials H_{n+1} = x H_n - n H_{n-1}, and Chebyshev U_n sets that
 coefficient to 1: one builder runs all three recurrences.  Every coefficient
 of the three families is an integer (a signed count of matchings), so the
 builder runs on dense int rows and makes a degree's Poly, with the usual
-Fraction coefficients, only when that degree is asked for.  Each model
+Fraction coefficients, only when that degree is asked for; the expansion
+in the usual Hermite basis sums on the same int rows.  Each model
 below builds the same polynomials from weighted matchings, and the Chebyshev
 limit extracts U_n(x) from the leading behaviour in c.
 """
@@ -33,7 +34,7 @@ from .matchings import (
     nonnested_edges,
     weight,
 )
-from .polynomials import C, Poly, _gf, _rising_factorials
+from .polynomials import Poly, _gf
 
 
 # A dense int row: row[xd][cd] is the coefficient of x^xd c^cd.
@@ -54,6 +55,13 @@ def _next_row(p1: _Row, p2: _Row, b0: int, b1: int) -> _Row:
     return row
 
 
+def _row_poly(row: _Row) -> Poly:
+    """The Poly whose coefficients the dense int row holds."""
+    return Poly._from_ints(
+        {(xd, cd): q for xd, col in enumerate(row) for cd, q in enumerate(col)}
+    )
+
+
 def _new_table() -> tuple[list[_Row], dict[int, Poly]]:
     """A family table: the dense int rows of P_0 = 1 and P_1 = x, and the
     Poly of each degree asked for so far (none yet)."""
@@ -70,14 +78,18 @@ def _three_term(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> Poly:
     """
     if n < 0:
         return Poly.zero()
-    rows, polys = table
+    polys = table[1]
     if n not in polys:
-        for k in range(len(rows), n + 1):
-            rows.append(_next_row(rows[k - 1], rows[k - 2], *b(k)))
-        polys[n] = Poly._from_ints(
-            {(xd, cd): q for xd, col in enumerate(rows[n]) for cd, q in enumerate(col)}
-        )
+        polys[n] = _row_poly(_rows(table, b, n)[n])
     return polys[n]
+
+
+def _rows(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> list[_Row]:
+    """The table's int rows, extended through degree n."""
+    rows = table[0]
+    for k in range(len(rows), n + 1):
+        rows.append(_next_row(rows[k - 1], rows[k - 2], *b(k)))
+    return rows
 
 
 _ASSOCIATED = _new_table()
@@ -90,9 +102,13 @@ def associated_hermite(n: int) -> Poly:
     return _three_term(_ASSOCIATED, lambda k: (k - 2, 1), n)
 
 
+def _hermite_b(k: int) -> tuple[int, int]:
+    return k - 1, 0
+
+
 def usual_hermite(n: int) -> Poly:
     """The matchings-normalized Hermite polynomial H_n(x)."""
-    return _three_term(_HERMITE, lambda k: (k - 1, 0), n)
+    return _three_term(_HERMITE, _hermite_b, n)
 
 
 def associated_hermite_matchings(n: int) -> Poly:
@@ -143,12 +159,28 @@ def marker_edge_model(n: int) -> Poly:
 
 
 def associated_in_hermite_basis(n: int) -> Poly:
-    """The sum (-1)^k (c)_k binom(n-k, k) H_{n-2k}(x), equal to H_n(x; c+1)."""
-    rising = _rising_factorials(C, n // 2)
-    return _gf(
-        range(n // 2 + 1),
-        lambda k: (-1) ** k * comb(n - k, k) * rising[k] * usual_hermite(n - 2 * k),
-    )
+    """The sum (-1)^k (c)_k binom(n-k, k) H_{n-2k}(x), equal to H_n(x; c+1).
+
+    Every factor has int coefficients, so each term is an int row of the
+    usual Hermite table (free of c) times the int coefficients of (c)_k,
+    summed into one dense row; the Poly is built once, from that row.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    hermite = _rows(_HERMITE, _hermite_b, n)
+    total: _Row = [[0] * (n // 2 + 1) for _ in range(n + 1)]
+    rising = [1]  # (c)_k, lowest power of c first
+    for k in range(n // 2 + 1):
+        if k:
+            rising = [(k - 1) * a + b for a, b in zip(rising + [0], [0] + rising)]
+        scale = (-1) ** k * comb(n - k, k)
+        for xd, col in enumerate(hermite[n - 2 * k]):
+            out = total[xd]
+            for shift, q in enumerate(col):
+                if q:
+                    for cd, r in enumerate(rising, shift):
+                        out[cd] += scale * q * r
+    return _row_poly(total)
 
 
 def chebyshev_u(n: int) -> Poly:

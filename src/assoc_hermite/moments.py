@@ -6,11 +6,12 @@ height j weighs j - 1 + c.  Orthogonality L_c(H_n H_m) = 0 (n != m) and
 (c)_n (n = m) is also checked combinatorially here, through paired
 matchings and a sign-reversing involution on them.
 
-The sum of paired-matching weights, `_paired_gf`, runs once per complete
-matching: it sweeps the edge relations once and then weighs every
-colouring of the homogeneous edges from those masks, without building a
-PairedMatching per colouring.  `paired_weight` stays the per-object
-definition and is its oracle.
+The moments as sums over complete matchings, `moment_via_matchings`, come
+from the history recurrence `_history._histories` on blocks of one vertex,
+and the sum of paired-matching weights from `_history._paired_rows`; neither
+enumerates.  `weight` over `enumerate_complete` and `paired_weight` over
+`enumerate_paired` stay the per-object definitions, and the tests check
+both recurrences against them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
+from ._history import _check_rows, _histories
 from .matchings import (
     Edge,
     WeightScheme,
     _relation_masks,
     _trusted,
     enumerate_complete,
-    weight,
 )
 from .models import associated_hermite
 from .polynomials import C, Poly, _gf
@@ -78,10 +79,16 @@ def moment(n: int) -> Poly:
 
 
 def moment_via_matchings(n: int, scheme: WeightScheme) -> Poly:
-    """The nth moment as a sum over complete matchings on [n]."""
+    """The nth moment as a sum over complete matchings on [n].
+
+    Blocks of one vertex each admit every complete matching, so this is the
+    block-matching history recurrence on n unit blocks; odd n gives zero.
+    """
     if n % 2:
         return Poly.zero()
-    return _gf(enumerate_complete(n), lambda m: weight(m, scheme))
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return _histories((1,) * n, scheme)
 
 
 def apply_functional(p: Poly) -> Poly:
@@ -102,11 +109,6 @@ def inner_product(n: int, m: int) -> Poly:
 # ----- paired matchings -----
 
 
-def _check_rows(n: int, m: int) -> None:
-    if n < 0 or m < 0:
-        raise ValueError("row sizes must be nonnegative")
-
-
 @dataclass(frozen=True)
 class PairedMatching:
     """A complete matching on [n] + [m] with black and green edges.
@@ -122,7 +124,7 @@ class PairedMatching:
     green: tuple[Edge, ...]
 
     def __post_init__(self):
-        _check_rows(self.n, self.m)
+        _check_rows((self.n, self.m))
         object.__setattr__(self, "black", tuple(sorted(self.black)))
         object.__setattr__(self, "green", tuple(sorted(self.green)))
         total = self.n + self.m
@@ -168,7 +170,7 @@ def enumerate_paired(n: int, m: int) -> Iterator[PairedMatching]:
     Every complete matching of the n + m vertices is colored in all ways
     that keep black edges homogeneous.  An odd total yields nothing.
     """
-    _check_rows(n, m)
+    _check_rows((n, m))
     total = n + m
     if total % 2:
         return
@@ -199,44 +201,6 @@ def paired_weight(pm: PairedMatching) -> Poly:
             # A left crossing of either colour disqualifies a black edge.
             cd += not (nests[i] or left[i] or right[i] & green)
     return Poly._raw({(0, cd): _SIGNS[len(pm.black) % 2]})
-
-
-def _paired_gf(n: int, m: int) -> Poly:
-    """The sum of paired_weight over enumerate_paired(n, m), run per
-    complete matching instead of per colouring.
-
-    Each complete matching's relation masks are swept once; every subset of
-    its homogeneous edges, taken as the black edges, is then weighed from
-    them by paired_weight's colour rule, and the signs are summed as ints
-    by c-degree.  paired_weight is the oracle this is tested against, so
-    the colour rule is restated here rather than shared with it.
-    """
-    _check_rows(n, m)
-    total = n + m
-    if total % 2:
-        return Poly.zero()
-
-    def weigh(matching) -> Poly:
-        edges = matching.edges
-        nests, left, right = _relation_masks(edges)
-        everything = (1 << len(edges)) - 1
-        colourings = [(0, 1)]  # (black mask, sign)
-        for i, (a, b) in enumerate(edges):
-            if b <= n or a > n:
-                colourings += [(black | 1 << i, -sign) for black, sign in colourings]
-        counts: dict[int, int] = {}
-        for black, sign in colourings:
-            green = everything ^ black
-            cd = 0
-            for i in range(len(edges)):
-                if green >> i & 1:
-                    cd += not right[i] & green
-                else:
-                    cd += not (nests[i] or left[i] or right[i] & green)
-            counts[cd] = counts.get(cd, 0) + sign
-        return Poly._from_ints({(0, cd): s for cd, s in counts.items()})
-
-    return _gf(enumerate_complete(total), weigh)
 
 
 def flip_candidate(pm: PairedMatching) -> Edge | None:

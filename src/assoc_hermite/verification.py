@@ -1,11 +1,11 @@
 """Exhaustive desk-scale verification suites.
 
 Every identity the library implements is checked here with exact
-arithmetic, by brute-force enumeration or, for block-matching sums, by the
-history recurrence that the tests check against enumeration.  Paired-matching
-sums use `moments._paired_gf`, which folds over complete matchings and
-weighs every colouring of each from one relation sweep; they are no longer
-enumerated one colouring at a time.  Each suite returns a RunReport that
+arithmetic, by brute-force enumeration or, for sums over matchings that a
+history recurrence covers, by that recurrence, which the tests check
+against enumeration: the block-matching sums and the moments as matching
+sums (`_history._histories`), and the paired-matching sums
+(`_history._paired_rows`).  Each suite returns a RunReport that
 lists how many cases ran and which failed.  The desk level finishes in
 seconds; the extended level adds the four-edge rooted-map census.
 """
@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
+from ._history import _paired_rows
 from .linearization import (
     conjecture_sweep,
     inhomogeneous_gf,
@@ -66,7 +67,6 @@ from .models import (
 )
 from .moments import (
     PairedMatching,
-    _paired_gf,
     cycle_count,
     enumerate_paired,
     flip_candidate,
@@ -209,7 +209,7 @@ def suite_orthogonality(rec: RunReport) -> None:
             rec.check(f"inner product ({n},{m})", inner_product(n, m), expected)
     for n in range(11):
         for m in range(11 - n):
-            total = _paired_gf(n, m)
+            total = _paired_rows((n, m))
             expected = rising_factorial(C, n) if n == m else Poly.zero()
             rec.check(f"paired matching sum ({n},{m})", total, expected)
 

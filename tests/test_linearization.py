@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assoc_hermite._history import _histories
 from assoc_hermite.linearization import (
-    _histories,
     conjecture_check,
     inhomogeneous_gf,
     linearization_coefficient,
@@ -102,8 +102,10 @@ SMALL_ARRANGEMENTS = [
 
 
 # Blocks of one vertex each put a block boundary at every vertex, past the
-# five blocks the small arrangements stop at.
-UNIT_BLOCKS = [(1,) * n for n in range(0, 11, 2)]
+# five blocks the small arrangements stop at.  They give every complete
+# matching, so this is also the oracle for moment_via_matchings at every n
+# the moment-tables suite checks.
+UNIT_BLOCKS = [(1,) * n for n in range(0, 13, 2)]
 
 
 def test_histories_match_enumeration_on_small_arrangements():

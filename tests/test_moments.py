@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from assoc_hermite.matchings import WeightScheme
+from assoc_hermite._history import _paired_rows
+from assoc_hermite.linearization import product_functional
+from assoc_hermite.matchings import WeightScheme, enumerate_complete
 from assoc_hermite.moments import (
     PairedMatching,
-    _paired_gf,
     cycle_count,
     enumerate_dyck_paths,
     enumerate_paired,
@@ -18,7 +20,7 @@ from assoc_hermite.moments import (
     paired_to_permutation,
     paired_weight,
 )
-from assoc_hermite.polynomials import C, Poly, _gf
+from assoc_hermite.polynomials import C, Poly, _gf, rising_factorial
 
 
 def test_dyck_path_counts():
@@ -40,6 +42,16 @@ def test_all_three_matching_routes_agree(scheme):
         assert moment_via_matchings(n, scheme) == moment(n)
 
 
+def test_moment_via_matchings_error_contract():
+    scheme = WeightScheme.MOMENT_NONNESTED
+    assert moment_via_matchings(7, scheme) == Poly.zero()
+    assert moment_via_matchings(-3, scheme) == Poly.zero()
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        moment_via_matchings(-2, scheme)
+    # Past the enumeration cap: nothing is enumerated.
+    assert moment_via_matchings(18, scheme) == moment(18)
+
+
 def test_continued_fraction_truncation():
     series = moment_series(depth=5, order=8, shifted=False)
     assert series[: 9] == [moment(k) for k in range(9)]
@@ -56,19 +68,66 @@ def test_enumerate_paired_is_guarded_by_the_complete_enumerator():
         next(paired)
 
 
-def test_paired_gf_matches_the_per_colouring_sum():
+def test_paired_rows_match_the_per_colouring_sum():
     for total in range(9):
         for n in range(total + 1):
-            fast = _paired_gf(n, total - n)
+            fast = _paired_rows((n, total - n))
             assert fast == _gf(enumerate_paired(n, total - n), paired_weight)
             for q in fast.terms.values():
                 assert type(q) is Fraction and q != 0
 
 
-def test_paired_gf_is_guarded_by_the_complete_enumerator():
-    assert _paired_gf(9, 8) == Poly.zero()
-    with pytest.raises(ValueError, match="^n=18 exceeds the enumeration cap 16$"):
-        _paired_gf(9, 9)
+def test_paired_rows_reach_past_the_enumeration_cap():
+    assert _paired_rows((9, 8)) == Poly.zero()
+    assert _paired_rows((9, 9)) == rising_factorial(C, 9)
+
+
+def enumerate_paired_rows(rows: tuple[int, ...]):
+    """enumerate_paired on any number of consecutive rows: every complete
+    matching, coloured in all ways that keep each black edge inside one row.
+    paired_weight reads only the colours, so each comes back as a
+    PairedMatching whose one row holds every vertex."""
+    total = sum(rows)
+    row_of = [None] + [i for i, size in enumerate(rows) for _ in range(size)]
+    for matching in enumerate_complete(total):
+        edges = matching.edges
+        homogeneous = [e for e in edges if row_of[e[0]] == row_of[e[1]]]
+        for mask in range(1 << len(homogeneous)):
+            black = tuple(e for i, e in enumerate(homogeneous) if mask >> i & 1)
+            green = tuple(e for e in edges if e not in black)
+            yield PairedMatching(total, 0, black, green)
+
+
+def compositions(total: int):
+    """Every tuple of positive row sizes summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+# Every row arrangement of an even total of at most 8, and some of total 10.
+ROW_ARRANGEMENTS = [rows for total in range(0, 9, 2) for rows in compositions(total)] + [
+    (3, 3, 4), (3, 4, 3), (4, 3, 3), (2, 2, 2, 2, 2), (1, 3, 3, 3), (2, 2, 3, 3),
+]
+
+
+def test_paired_rows_match_the_k_row_enumeration():
+    assert len(ROW_ARRANGEMENTS) == 177
+    for rows in ROW_ARRANGEMENTS:
+        assert _paired_rows(rows) == _gf(enumerate_paired_rows(rows), paired_weight), rows
+
+
+def test_paired_rows_equal_the_product_functional():
+    # An observation, not a theorem of the paper: with a row per factor the
+    # signed sum is L(H_{n1} ... H_{nk}).
+    tuples = [
+        ns for parts in range(1, 5) for ns in product(range(6), repeat=parts) if sum(ns) <= 12
+    ]
+    assert len(tuples) == 1234
+    for ns in tuples:
+        assert _paired_rows(ns) == product_functional(ns), ns
 
 
 @pytest.mark.parametrize("n, m", [(-1, 3), (3, -1), (-2, -2)])
@@ -78,7 +137,7 @@ def test_negative_row_sizes_are_refused(n, m):
     with pytest.raises(ValueError, match="^row sizes must be nonnegative$"):
         list(enumerate_paired(n, m))
     with pytest.raises(ValueError, match="^row sizes must be nonnegative$"):
-        _paired_gf(n, m)
+        _paired_rows((n, m))
 
 
 def test_flip_candidate_picks_the_leftmost_nest_free_edge():
