@@ -6,14 +6,19 @@ history recurrence covers, by that recurrence, which the tests check
 against enumeration: the block-matching sums and the moments as matching
 sums (`_history._histories`), and the paired-matching sums
 (`_history._paired_rows`).  Each suite returns a RunReport that
-lists how many cases ran and which failed.  The desk level finishes in
-seconds; the extended level adds the four-edge rooted-map census.
+lists how many cases ran and which failed.  `run_all` runs a level's
+suites on a pool of forked workers, one per available CPU.  The desk level
+finishes in seconds; the extended level adds the four-edge rooted-map
+census.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -224,10 +229,15 @@ def suite_involution(rec: RunReport) -> None:
     its sign.  The sums still cancel; only the pointwise pairing breaks."""
     for n in range(9):
         for m in range(9 - n):
+            # Each image and, where negation is claimed, each weight is
+            # computed once per matching and looked up for its partner.
+            paired = list(enumerate_paired(n, m))
+            images = {pm: orthogonality_involution(pm) for pm in paired
+                      if flip_candidate(pm) is not None}
+            weights = {pm: paired_weight(pm) for pm in paired} if n >= m else {}
             fixed_perms = []
-            for pm in enumerate_paired(n, m):
-                e = flip_candidate(pm)
-                if e is None:
+            for pm in paired:
+                if pm not in images:
                     rec.ensure(f"fixed point only on diagonal: {pm}", n == m)
                     rec.check(f"fixed point all green: {pm}", pm.black, ())
                     pi = paired_to_permutation(pm)
@@ -238,13 +248,12 @@ def suite_involution(rec: RunReport) -> None:
                     )
                     fixed_perms.append(pi)
                     continue
-                image = orthogonality_involution(pm)
+                image = images[pm]
                 rec.ensure(f"involution moves {pm}", image != pm)
-                rec.check(f"involution order two on {pm}",
-                          orthogonality_involution(image), pm)
+                rec.check(f"involution order two on {pm}", images.get(image), pm)
                 if n >= m:
                     rec.check(f"involution negates weight of {pm}",
-                              paired_weight(image), -paired_weight(pm))
+                              weights.get(image), -weights[pm])
             if n == m:
                 rec.check(
                     f"fixed points of ({n},{n}) are the {n}! permutations",
@@ -279,22 +288,25 @@ def suite_linearization(rec: RunReport) -> None:
                 f"linearization identity ({big_n},{big_m})",
                 verify_linearization(big_n, big_m),
             )
-    for big_n in range(9):
-        for big_m in range(9):
-            for j in range(min(big_n, big_m) + 1):
-                p = linearization_coefficient(big_n, big_m, j)
-                rec.ensure(
-                    f"coefficient ({big_n},{big_m},{j}) is a nonnegative "
-                    "integer polynomial in c",
-                    all(
-                        xd == 0 and q.denominator == 1 and q >= 0
-                        for (xd, cd), q in p.terms.items()
-                    ),
-                )
+    coefficients = {
+        (big_n, big_m, j): linearization_coefficient(big_n, big_m, j)
+        for big_n in range(9)
+        for big_m in range(9)
+        for j in range(min(big_n, big_m) + 1)
+    }
+    for (big_n, big_m, j), p in coefficients.items():
+        rec.ensure(
+            f"coefficient ({big_n},{big_m},{j}) is a nonnegative "
+            "integer polynomial in c",
+            all(
+                xd == 0 and q.denominator == 1 and q >= 0
+                for (xd, cd), q in p.terms.items()
+            ),
+        )
     for big_n in range(7):
         for big_m in range(7):
             for j in range(min(big_n, big_m) + 1):
-                p = linearization_coefficient(big_n, big_m, j)
+                p = coefficients[big_n, big_m, j]
                 for cv in range(1, 11):
                     rec.check(
                         f"hypergeometric form ({big_n},{big_m},{j}) at c={cv}",
@@ -303,19 +315,13 @@ def suite_linearization(rec: RunReport) -> None:
                         ),
                         p.evaluate(c_value=cv),
                     )
-    for big_n in range(9):
-        for big_m in range(9):
-            for j in range(min(big_n, big_m) + 1):
-                closed = (
-                    rising_factorial_value(big_n + 1 - j, j)
-                    * rising_factorial_value(big_m + 1 - j, j)
-                    / factorial(j)
-                )
-                rec.check(
-                    f"coefficient ({big_n},{big_m},{j}) at c=1",
-                    linearization_coefficient(big_n, big_m, j).evaluate(c_value=1),
-                    closed,
-                )
+    for (big_n, big_m, j), p in coefficients.items():
+        closed = (
+            rising_factorial_value(big_n + 1 - j, j)
+            * rising_factorial_value(big_m + 1 - j, j)
+            / factorial(j)
+        )
+        rec.check(f"coefficient ({big_n},{big_m},{j}) at c=1", p.evaluate(c_value=1), closed)
     for big_n in range(9):
         for big_m in range(9 - big_n):
             for j in range(min(big_n, big_m) + 1):
@@ -326,8 +332,7 @@ def suite_linearization(rec: RunReport) -> None:
                 rec.check(
                     f"three-block matchings ({big_n},{big_m},{rest})",
                     count,
-                    linearization_coefficient(big_n, big_m, j).evaluate(c_value=1)
-                    * factorial(rest),
+                    coefficients[big_n, big_m, j].evaluate(c_value=1) * factorial(rest),
                 )
 
 
@@ -740,11 +745,50 @@ DESK_SUITES: tuple[Callable[[], RunReport], ...] = (
 LEVELS = ("desk", "extended")
 
 
-def run_all(level: str = "desk") -> list[RunReport]:
-    """Run every suite at the given level and return their reports."""
+def _suites(level: str) -> list[Callable[[], RunReport]]:
     if level not in LEVELS:
         raise ValueError(f"unknown verification level {level!r}")
     suites = list(DESK_SUITES)
     if level == "extended":
         suites.append(suite_maps_extended)
-    return [s() for s in suites]
+    return suites
+
+
+def _run_suite(level: str, index: int) -> RunReport:
+    """Run one suite in a pool worker.  The worker looks the suite up in
+    the module state it inherited at the fork, so a suite need not pickle."""
+    return _suites(level)[index]()
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_all(level: str = "desk") -> list[RunReport]:
+    """Run every suite at the given level and return their reports in
+    suite order.
+
+    The suites are independent, so they run on a pool of forked workers,
+    one per available CPU.  They run one after another in this process
+    instead with one CPU, where processes cannot be forked, or while other
+    threads run, since a fork copies locks those threads may hold.  Each
+    report's seconds are the suite's time inside its worker."""
+    suites = _suites(level)
+    workers = min(len(suites), _available_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # A worker flushes the standard streams it inherited when it
+            # exits; flushing first keeps buffered text from being repeated.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_run_suite, itertools.repeat(level), range(len(suites))))
+    return [suite() for suite in suites]

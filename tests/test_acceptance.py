@@ -6,7 +6,7 @@ numeric or approximate.
 
 Each identity is checked in one place: the `verify-all` suites of
 `assoc_hermite.verification`.  The module runs `verify-all --level desk`
-once, in process, and each criterion asserts that its suite reported no
+once through `main`, and each criterion asserts that its suite reported no
 failures, plus the few checks no suite or unit test makes.  The
 four-edge rooted-map census, the one suite of the extended level, runs on
 its own.  Apart from the polynomial-model tests in `test_models.py` and
@@ -119,6 +119,16 @@ def test_verify_all_desk_exits_zero_with_pinned_case_counts():
     status, reports = desk_run()
     assert status == 0
     assert [(r["suite"], r["cases"]) for r in reports] == DESK_CASES
+
+
+def test_verify_all_in_process_matches_the_pool(monkeypatch):
+    # desk_reports() runs through the worker pool wherever two CPUs are
+    # available; with one CPU run_all runs every suite in this process.
+    monkeypatch.setattr("assoc_hermite.verification._available_cpus", lambda: 1)
+    in_process = run_all("desk")
+    assert [(r.suite, r.cases, r.failures) for r in in_process] == [
+        (r.suite, r.cases, r.failures) for r in desk_reports()
+    ]
 
 
 @pytest.mark.parametrize("fmt", [(), ("--csv",)], ids=["json", "csv"])

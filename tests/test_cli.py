@@ -6,6 +6,8 @@ is exactly what a shell user sees.
 
 import io
 import json
+import os
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 
@@ -460,6 +462,38 @@ def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch, exc):
         {"suite": "healthy", "cases": 1, "failures": []},
     ]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, forked", [(1, 0, False), (3, 0, True), (3, 1, False)]
+)
+def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threads, forked):
+    # One worker per CPU, but never a fork while another thread runs.
+    parent = os.getpid()
+
+    def suite(name):
+        @verification._suite(name)
+        def body(rec):
+            rec.check("ran in a forked worker", os.getpid() != parent, forked)
+            rec.check("recorded failure", name, "")
+
+        return body
+
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suite(name) for name in "abcd"))
+    monkeypatch.setattr(verification, "_available_cpus", lambda: cpus)
+    stop = threading.Event()
+    running = [threading.Thread(target=stop.wait) for _ in range(threads)]
+    for thread in running:
+        thread.start()
+    try:
+        reports = verification.run_all("desk")
+    finally:
+        stop.set()
+        for thread in running:
+            thread.join(timeout=10)
+    assert [(r.suite, r.cases, r.failures) for r in reports] == [
+        (name, 2, [verification.Failure("recorded failure", "", name)]) for name in "abcd"
+    ]
 
 
 def test_bijection_rejects_unknown_operation(capsys):
