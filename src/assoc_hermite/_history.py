@@ -6,8 +6,9 @@ depends only on a few counts of the arcs open at that moment, the sum of
 weights over all matchings is a sum over histories in those counts, which
 costs time polynomial in the number of vertices (Flajolet, "Combinatorial
 aspects of continued fractions", 1980; Viennot, UQAM 1983).  Each state
-carries its weight sum as a list of integer coefficients of c, and the
-final list becomes a Poly through Poly._from_ints.
+carries its weight sum as a list of integer coefficients of c, summed by
+`polynomials._add_scaled`, and the final list becomes a Poly through
+Poly._from_rows.
 
 - `_histories` sums complete matchings on consecutive blocks with no arc
   inside a block, under every WeightScheme; unit blocks give all complete
@@ -23,26 +24,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .matchings import WeightScheme
-from .polynomials import Poly
+from .polynomials import Poly, _add_scaled
 
 _States = dict[tuple[int, int, int], list[int]]
-
-
-def _add_into(
-    states: _States, key: tuple[int, int, int], coeffs: list[int], factor: int, shift: int = 0
-) -> None:
-    """states[key] += factor * c**shift * coeffs, on coefficient lists in c."""
-    if not factor:
-        return
-    acc = states.setdefault(key, [])
-    acc.extend([0] * (len(coeffs) + shift - len(acc)))
-    for i, q in enumerate(coeffs, shift):
-        acc[i] += factor * q
-
-
-def _in_c(coeffs: Sequence[int]) -> Poly:
-    """The polynomial in c with these int coefficients, lowest degree first."""
-    return Poly._from_ints({(0, j): q for j, q in enumerate(coeffs)})
 
 
 # How closing one arc weighs, as plain + special * c, given the number of
@@ -88,20 +72,22 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     for size in sizes:
         boundary: _States = {}
         for (h, _, r), coeffs in states.items():
-            _add_into(boundary, (h, 0, r), coeffs, 1)
+            _add_scaled(boundary.setdefault((h, 0, r), []), coeffs, 1)
         states = boundary
         for _ in range(size):
             remaining -= 1
             step: _States = {}
             for (h, k, r), coeffs in states.items():
                 if h < remaining:
-                    _add_into(step, (h + 1, k + 1, r + 1 if tracks_r else 0), coeffs, 1)
+                    opened = step.setdefault((h + 1, k + 1, r + 1 if tracks_r else 0), [])
+                    _add_scaled(opened, coeffs, 1)
                 if h > k:
                     plain, special = closing_weight(h - k, k, r)
-                    _add_into(step, (h - 1, k, 0), coeffs, plain)
-                    _add_into(step, (h - 1, k, 0), coeffs, special, shift=1)
+                    closed = step.setdefault((h - 1, k, 0), [])
+                    _add_scaled(closed, coeffs, plain)
+                    _add_scaled(closed, coeffs, special, 1)
             states = step
-    return _in_c(states.get((0, 0, 0), ()))
+    return Poly._from_rows([states.get((0, 0, 0), [])])
 
 
 def _check_rows(rows: Sequence[int]) -> None:
@@ -138,15 +124,17 @@ def _paired_rows(rows: Sequence[int]) -> Poly:
             step: _States = {}
             for (g, k, r), coeffs in states.items():
                 if g + k < remaining:
-                    _add_into(step, (g + 1, k, 0), coeffs, 1)
-                    _add_into(step, (g, k + 1, r + 1), coeffs, 1)
+                    _add_scaled(step.setdefault((g + 1, k, 0), []), coeffs, 1)
+                    _add_scaled(step.setdefault((g, k + 1, r + 1), []), coeffs, 1)
                 if g:
-                    _add_into(step, (g - 1, k, 0), coeffs, g - 1)
-                    _add_into(step, (g - 1, k, 0), coeffs, 1, shift=1)
+                    closed = step.setdefault((g - 1, k, 0), [])
+                    _add_scaled(closed, coeffs, g - 1)
+                    _add_scaled(closed, coeffs, 1, 1)
                 if k:
-                    _add_into(step, (g, k - 1, 0), coeffs, r - k)
-                    _add_into(step, (g, k - 1, 0), coeffs, -r, shift=1)
+                    closed = step.setdefault((g, k - 1, 0), [])
+                    _add_scaled(closed, coeffs, r - k)
+                    _add_scaled(closed, coeffs, -r, 1)
             states = step
         # Black arcs stay inside their row.
         states = {key: coeffs for key, coeffs in states.items() if key[1] == 0}
-    return _in_c(states.get((0, 0, 0), ()))
+    return Poly._from_rows([states.get((0, 0, 0), [])])

@@ -43,21 +43,11 @@ from .tableaux import (
 )
 from .verification import run_all
 
-GENERATORS = (
-    "recurrence",
-    "matchings",
-    "marker-edge",
-    "basis",
-    "hermite",
-    "chebyshev",
-    "chebyshev-limit",
-)
-
 # Each command refuses sizes past its limit before doing any work.  Times at
-# the limit were all taken in one session (Python 3.11, a shared 2-core x86
-# host, fresh interpreters), against a budget of 20 s.  The `poly`
-# generators that do not enumerate run the three-term recurrence on int
-# rows.  At 450, `chebyshev` and `hermite` take 0.3 s; `recurrence` and
+# the limit were taken on Python 3.11, a shared 2-core x86 host, fresh
+# interpreters, against a budget of 20 s.  The `poly` generators that do not
+# enumerate run the three-term recurrence on int rows.  At 450, `chebyshev`
+# and `hermite` take 0.3 s; `recurrence` and
 # `chebyshev-limit` 3.6-3.7 s, and `recurrence --shifted` 16-18 s (shift_c is
 # Fraction arithmetic), each peaking near 560-590 MB, mostly the rows of
 # H_0..H_450; `basis` sums on the same int rows in 3.0-3.7 s and 78 MB.
@@ -73,14 +63,26 @@ GENERATORS = (
 # `quadruples` translates every rooted map (8,162 at 5 edges, 2.4 s).  The
 # other bijections take one object of at most 300 edges; the worst is
 # `tailswap` on the all-crossing matching (i, i+300), cubic through its two
-# crossing-count assertions per swap (6.2 s).  `poly matchings` and
-# `marker-edge` enumerate at most DEFAULT_CAP vertices.
+# crossing-count assertions per swap (6.2 s).  `poly matchings` enumerates
+# the partial matchings of [n] (13: 8.5-8.6 s; 14: 36-45 s) and `marker-edge`
+# those of n + 2 vertices (12: 7.2-8.6 s; 13: 33-36 s).
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20
 _MAX_BLOCK_TOTAL = 200
 _MAX_MAP_EDGES = 5
 _MAX_BIJECTION_EDGES = 300
+
+# Each `poly` generator and the largest degree it accepts.
+GENERATORS = {
+    "recurrence": (associated_hermite, _MAX_RECURRENCE_DEGREE),
+    "matchings": (associated_hermite_matchings, 13),
+    "marker-edge": (marker_edge_model, 12),
+    "basis": (associated_in_hermite_basis, _MAX_RECURRENCE_DEGREE),
+    "hermite": (usual_hermite, _MAX_RECURRENCE_DEGREE),
+    "chebyshev": (chebyshev_u, _MAX_RECURRENCE_DEGREE),
+    "chebyshev-limit": (chebyshev_limit, _MAX_RECURRENCE_DEGREE),
+}
 
 BIJECTIONS = (
     "tableau",
@@ -128,22 +130,9 @@ def _edge_texts(edges) -> list[str]:
 def _cmd_poly(args: argparse.Namespace) -> int:
     n = args.degree
     _check_nonnegative(degree=n)
-    if args.generator not in ("matchings", "marker-edge"):
-        _check_size("degree", n, _MAX_RECURRENCE_DEGREE)
-    if args.generator == "recurrence":
-        p = associated_hermite(n)
-    elif args.generator == "matchings":
-        p = associated_hermite_matchings(n)
-    elif args.generator == "marker-edge":
-        p = marker_edge_model(n)
-    elif args.generator == "basis":
-        p = associated_in_hermite_basis(n)
-    elif args.generator == "hermite":
-        p = usual_hermite(n)
-    elif args.generator == "chebyshev":
-        p = chebyshev_u(n)
-    else:
-        p = chebyshev_limit(n)
+    generate, limit = GENERATORS[args.generator]
+    _check_size("degree", n, limit)
+    p = generate(n)
     if args.shifted:
         p = p.shift_c()
     if args.csv:

@@ -67,7 +67,7 @@ class Matching:
             raise ValueError(f"unparseable matching text: {text!r}")
         edges = tuple((int(a), int(b)) for a, b in pairs)
         if n is None:
-            n = max((b for _, b in edges), default=0)
+            n = max((v for e in edges for v in e), default=0)
         return cls(n, edges)
 
     def to_text(self) -> str:

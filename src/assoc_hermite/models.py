@@ -5,11 +5,12 @@ with H_0 = 1 and H_n = 0 for n < 0.  At c = 1 they reduce to the usual
 Hermite polynomials H_{n+1} = x H_n - n H_{n-1}, and Chebyshev U_n sets that
 coefficient to 1: one builder runs all three recurrences.  Every coefficient
 of the three families is an integer (a signed count of matchings), so the
-builder runs on dense int rows and makes a degree's Poly, with the usual
-Fraction coefficients, only when that degree is asked for; the expansion
-in the usual Hermite basis sums on the same int rows.  Each model
-below builds the same polynomials from weighted matchings, and the Chebyshev
-limit extracts U_n(x) from the leading behaviour in c.
+builder runs on the dense int rows of `polynomials` (its `_add_scaled` and
+Poly._from_rows) and makes a degree's Poly, with the usual Fraction
+coefficients, only when that degree is asked for; the expansion in the
+usual Hermite basis sums on the same int rows.  Each model below builds the
+same polynomials from weighted matchings, and the Chebyshev limit extracts
+U_n(x) from the leading behaviour in c.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from .matchings import (
     nonnested_edges,
     weight,
 )
-from .polynomials import Poly, _gf
-
-
-# A dense int row: row[xd][cd] is the coefficient of x^xd c^cd.
-_Row = list[list[int]]
+from .polynomials import Poly, _add_scaled, _gf, _Row
 
 
 def _next_row(p1: _Row, p2: _Row, b0: int, b1: int) -> _Row:
@@ -46,20 +43,9 @@ def _next_row(p1: _Row, p2: _Row, b0: int, b1: int) -> _Row:
     place up, and each b-term is subtracted in place."""
     row = [[]] + [col[:] for col in p1]
     for xd, col in enumerate(p2):
-        out = row[xd]
-        for shift, factor in ((0, b0), (1, b1)):
-            if factor:
-                out.extend([0] * (len(col) + shift - len(out)))
-                for cd, q in enumerate(col, shift):
-                    out[cd] -= factor * q
+        _add_scaled(row[xd], col, -b0)
+        _add_scaled(row[xd], col, -b1, 1)
     return row
-
-
-def _row_poly(row: _Row) -> Poly:
-    """The Poly whose coefficients the dense int row holds."""
-    return Poly._from_ints(
-        {(xd, cd): q for xd, col in enumerate(row) for cd, q in enumerate(col)}
-    )
 
 
 def _new_table() -> tuple[list[_Row], dict[int, Poly]]:
@@ -80,7 +66,7 @@ def _three_term(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> Poly:
         return Poly.zero()
     polys = table[1]
     if n not in polys:
-        polys[n] = _row_poly(_rows(table, b, n)[n])
+        polys[n] = Poly._from_rows(_rows(table, b, n)[n])
     return polys[n]
 
 
@@ -168,19 +154,16 @@ def associated_in_hermite_basis(n: int) -> Poly:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     hermite = _rows(_HERMITE, _hermite_b, n)
-    total: _Row = [[0] * (n // 2 + 1) for _ in range(n + 1)]
+    total: _Row = [[] for _ in range(n + 1)]
     rising = [1]  # (c)_k, lowest power of c first
     for k in range(n // 2 + 1):
         if k:
             rising = [(k - 1) * a + b for a, b in zip(rising + [0], [0] + rising)]
         scale = (-1) ** k * comb(n - k, k)
         for xd, col in enumerate(hermite[n - 2 * k]):
-            out = total[xd]
             for shift, q in enumerate(col):
-                if q:
-                    for cd, r in enumerate(rising, shift):
-                        out[cd] += scale * q * r
-    return _row_poly(total)
+                _add_scaled(total[xd], rising, scale * q, shift)
+    return Poly._from_rows(total)
 
 
 def chebyshev_u(n: int) -> Poly:

@@ -11,10 +11,13 @@ Decimal or complex raises TypeError instead of being rounded to a fraction.
 The public constructor checks every term.  The ring operations, shift_c and
 `_gf`, the one fold that sums weights, hand their sums to the private
 Poly._raw: the one place zero sums are dropped, with no other check.
-Integer coefficients computed elsewhere (the rows of the three-term
-recurrences, the history recurrences, the paired-matching sums) become a
-Poly through Poly._from_ints, which hands them to Poly._raw, and nowhere
-else.
+
+The recurrences elsewhere (the three-term rows of `models`, the history
+recurrences of `_history`) run on int rows instead: row[xd][cd] is the
+integer coefficient of x^xd c^cd, and a list of coefficients in c alone is
+the one-column row [coeffs].  This module owns both operations on them:
+`_add_scaled` is the one scaled add, and Poly._from_rows, which hands its
+Fractions to Poly._raw, is the one way integers become a Poly.
 
 Instances are immutable by convention.  Every operation returns a fresh
 polynomial and never mutates its operands.
@@ -25,10 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int]
+# An int row: row[xd][cd] is the coefficient of x^xd c^cd.
+_Row = list[list[int]]
 
 
 def _exact(value) -> Fraction:
@@ -66,10 +71,12 @@ class Poly:
         return p
 
     @classmethod
-    def _from_ints(cls, terms: Mapping[Key, int]) -> "Poly":
-        """The Poly of int coefficients, zeros dropped; the caller guarantees
-        int exponents >= 0 and int coefficients."""
-        return cls._raw({key: Fraction(q) for key, q in terms.items()})
+    def _from_rows(cls, rows: Sequence[Sequence[int]]) -> "Poly":
+        """The Poly of an int row, rows[xd][cd] the coefficient of x^xd c^cd,
+        zeros dropped; the caller guarantees int coefficients."""
+        return cls._raw(
+            {(xd, cd): Fraction(q) for xd, col in enumerate(rows) for cd, q in enumerate(col)}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -256,6 +263,16 @@ def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
         for key, q in weigh(obj).terms.items():
             acc[key] = acc.get(key, 0) + q
     return Poly._raw(acc)
+
+
+def _add_scaled(acc: list[int], coeffs: Sequence[int], factor: int, shift: int = 0) -> None:
+    """acc += factor * c**shift * coeffs, on int coefficient lists in c
+    (lowest degree first); acc grows as far as the sum needs."""
+    if not factor:
+        return
+    acc.extend([0] * (len(coeffs) + shift - len(acc)))
+    for i, q in enumerate(coeffs, shift):
+        acc[i] += factor * q
 
 
 def _rising_factorials(base: Poly | Scalar, k: int) -> list[Poly]:

@@ -53,6 +53,9 @@ def test_from_text_examples():
     assert m.edges == ((1, 5), (2, 4), (3, 8), (6, 7))
     assert m.to_text() == "(1,5)(2,4)(3,8)(6,7)"
     assert Matching.from_text("", n=3).fixed_points() == (1, 2, 3)
+    # n defaults to the largest endpoint on either side of an edge.
+    assert Matching.from_text("(2,1)") == Matching(2, ((1, 2),))
+    assert Matching.from_text("(1,2)(4,3)") == Matching(4, ((1, 2), (3, 4)))
 
 
 def test_from_text_rejects_garbage():

@@ -73,6 +73,12 @@ def test_marker_edge_model_is_the_shifted_polynomial(n):
     assert marker_edge_model(n) == associated_hermite(n).shift_c()
 
 
+def test_marker_edge_refusal_counts_the_two_marker_vertices():
+    # The marker-edge model of degree n enumerates matchings on n + 2 vertices.
+    with pytest.raises(ValueError, match=r"^n=17 exceeds the enumeration cap 16$"):
+        marker_edge_model(15)
+
+
 def filtered_marker_edge_matchings(n: int) -> list[Matching]:
     """Every partial matching of the vertices other than 1 and t, kept when
     no fixed point and no edge start lies beyond t, joined by the marker

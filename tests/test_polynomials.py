@@ -12,6 +12,7 @@ from assoc_hermite.polynomials import (
     C,
     Poly,
     X,
+    _add_scaled,
     _gf,
     binomial_poly,
     rising_factorial,
@@ -196,3 +197,30 @@ def test_arithmetic_matches_sympy(p, q, k, point):
     x, c = point
     value = sympy.Rational(sp.as_expr().subs({x_sym: x, c_sym: c}))
     assert p.evaluate(x, c) == Fraction(int(value.p), int(value.q))
+
+
+# Int coefficient lists in c with zeros, and int rows with empty columns.
+int_lists = st.lists(st.integers(-3, 3), max_size=5)
+int_rows = st.lists(int_lists, max_size=4)
+
+
+def row_by_poly_arithmetic(rows: list[list[int]]) -> Poly:
+    """The sum of rows[xd][cd] x^xd c^cd, one monomial at a time."""
+    return sum(
+        (q * X**xd * C**cd for xd, col in enumerate(rows) for cd, q in enumerate(col)),
+        Poly.zero(),
+    )
+
+
+@given(int_rows, int_lists, st.integers(-3, 3), st.integers(0, 3), st.integers(0, 4))
+def test_int_rows_match_poly_arithmetic(rows, coeffs, factor, shift, xd):
+    before = Poly._from_rows(rows)
+    assert_canonical(before)
+    assert before == row_by_poly_arithmetic(rows)
+    acc = [col[:] for col in rows] + [[] for _ in range(xd + 1 - len(rows))]
+    kept = coeffs[:]
+    _add_scaled(acc[xd], coeffs, factor, shift)
+    after = Poly._from_rows(acc)
+    assert_canonical(after)
+    assert after == before + factor * X**xd * C**shift * Poly._from_rows([coeffs])
+    assert coeffs == kept
