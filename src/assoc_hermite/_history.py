@@ -15,6 +15,8 @@ Poly._from_rows.
   matchings, so the moments too.
 - `_paired_rows` sums the signed weights of paired matchings on consecutive
   rows, black arcs staying inside one row.
+- `_partial_matchings` and `_marker_edge` sum the two polynomial models of
+  `models`, keeping the number of fixed points, the power of x, in the state.
 
 The enumerators these replace stay in the tests as their oracles.
 """
@@ -26,7 +28,7 @@ from typing import Sequence
 from .matchings import WeightScheme
 from .polynomials import Poly, _add_scaled
 
-_States = dict[tuple[int, int, int], list[int]]
+_States = dict[tuple[int, ...], list[int]]
 
 
 # How closing one arc weighs, as plain + special * c, given the number of
@@ -138,3 +140,71 @@ def _paired_rows(rows: Sequence[int]) -> Poly:
         # Black arcs stay inside their row.
         states = {key: coeffs for key, coeffs in states.items() if key[1] == 0}
     return Poly._from_rows([states.get((0, 0, 0), [])])
+
+
+def _partial_matchings(n: int) -> Poly:
+    """The sum of the POLY_RIGHTMOST weights of the partial matchings of [n].
+
+    The vertices are read left to right in the state (h, r, f): h arcs are
+    open, r of them opened since the last close or fixed point, and f
+    vertices stayed fixed.  A fixed point weighs x.  An arc nests nothing
+    and has no left crossing exactly when no vertex closed or stayed fixed
+    since it opened, which holds for the r newest open arcs, so a close
+    weighs -(r c + (h - r)), the `_histories` closing weight with k = 0.
+    Every close and fixed point sets r to 0.
+    """
+    closing_weight = _CLOSING_WEIGHTS[WeightScheme.POLY_RIGHTMOST]
+    states: _States = {(0, 0, 0): [1]}
+    # remaining vertices follow this one, at least one per arc left open.
+    for remaining in range(n - 1, -1, -1):
+        step: _States = {}
+        for (h, r, f), coeffs in states.items():
+            if h <= remaining:
+                _add_scaled(step.setdefault((h, 0, f + 1), []), coeffs, 1)
+            if h < remaining:
+                _add_scaled(step.setdefault((h + 1, r + 1, f), []), coeffs, 1)
+            if h:
+                plain, special = closing_weight(h, 0, r)
+                closed = step.setdefault((h - 1, 0, f), [])
+                _add_scaled(closed, coeffs, plain)
+                _add_scaled(closed, coeffs, special, 1)
+        states = step
+    return Poly._from_rows([states.get((0, 0, f), []) for f in range(n + 1)])
+
+
+def _marker_edge(n: int) -> Poly:
+    """The sum of the weights of the marker-edge matchings on n + 2 vertices.
+
+    The marker edge (1, t) weighs +1.  The vertices 2, ..., n + 2 are read
+    left to right in the state (h, f): h arcs are open and f vertices stayed
+    fixed.
+    - Inside the marker every arc is nested by it, so a fixed point weighs
+      x and closing one of the h open arcs weighs -h.
+    - At t the marker closes, which needs one open arc for each of the
+      n + 2 - t vertices after t.
+    - After t every vertex closes an arc that crosses the marker.  Only the
+      oldest of the j open arcs is nested by none, so the close weighs
+      -(c + j - 1).
+    """
+    inside: _States = {(0, 0): [1]}
+    after: _States = {}
+    # remaining vertices follow this one; past a vertex inside the marker
+    # come t and then one vertex per open arc.
+    for remaining in range(n, -1, -1):
+        next_inside: _States = {}
+        next_after: _States = {}
+        for (j, f), coeffs in after.items():
+            closed = next_after.setdefault((j - 1, f), [])
+            _add_scaled(closed, coeffs, 1 - j)
+            _add_scaled(closed, coeffs, -1, 1)
+        for (h, f), coeffs in inside.items():
+            if h == remaining:
+                _add_scaled(next_after.setdefault((h, f), []), coeffs, 1)
+            if h < remaining:
+                _add_scaled(next_inside.setdefault((h, f + 1), []), coeffs, 1)
+            if h + 1 < remaining:
+                _add_scaled(next_inside.setdefault((h + 1, f), []), coeffs, 1)
+            if h:
+                _add_scaled(next_inside.setdefault((h - 1, f), []), coeffs, -h)
+        inside, after = next_inside, next_after
+    return Poly._from_rows([after.get((0, f), []) for f in range(n + 1)])

@@ -63,9 +63,10 @@ from .verification import run_all
 # `quadruples` translates every rooted map (8,162 at 5 edges, 2.4 s).  The
 # other bijections take one object of at most 300 edges; the worst is
 # `tailswap` on the all-crossing matching (i, i+300), cubic through its two
-# crossing-count assertions per swap (6.2 s).  `poly matchings` enumerates
-# the partial matchings of [n] (13: 8.5-8.6 s; 14: 36-45 s) and `marker-edge`
-# those of n + 2 vertices (12: 7.2-8.6 s; 13: 33-36 s).
+# crossing-count assertions per swap (6.2 s).  `poly matchings` and
+# `marker-edge` keep the limits they had when they enumerated matchings
+# (13: 8.5-9.1 s; 12: 7.2-8.6 s); they now sum by history recurrences and
+# take 0.1-0.2 s there, interpreter start included.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20

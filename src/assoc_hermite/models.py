@@ -10,7 +10,9 @@ Poly._from_rows) and makes a degree's Poly, with the usual Fraction
 coefficients, only when that degree is asked for; the expansion in the
 usual Hermite basis sums on the same int rows.  Each model below builds the
 same polynomials from weighted matchings, and the Chebyshev limit extracts
-U_n(x) from the leading behaviour in c.
+U_n(x) from the leading behaviour in c.  The partial-matching and
+marker-edge models are summed by the history recurrences of `_history`; the
+tests check them against the enumerations they replace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .matchings import (
     Blocks,
     Edge,
     Matching,
-    WeightScheme,
     _check_cap,
     _pairings,
     _special_mask,
@@ -33,8 +34,8 @@ from .matchings import (
     enumerate_incomplete,
     enumerate_inhomogeneous,
     nonnested_edges,
-    weight,
 )
+from ._history import _marker_edge, _partial_matchings
 from .polynomials import Poly, _add_scaled, _gf, _Row
 
 
@@ -101,12 +102,12 @@ def associated_hermite_matchings(n: int) -> Poly:
     """H_n(x; c) as the generating function of partial matchings on [n].
 
     Fixed points weigh x; an edge weighs -c when it nests no fixed point or
-    edge and has no left crossing, and -1 otherwise.
+    edge and has no left crossing, and -1 otherwise.  The sum runs as a
+    history recurrence and enumerates nothing, but it refuses n past the
+    enumeration cap, as enumerate_incomplete does.
     """
-    return _gf(
-        enumerate_incomplete(n),
-        lambda m: weight(m, WeightScheme.POLY_RIGHTMOST),
-    )
+    _check_cap(n)
+    return _partial_matchings(n)
 
 
 def enumerate_marker_edge_matchings(n: int) -> Iterator[Matching]:
@@ -132,16 +133,12 @@ def marker_edge_model(n: int) -> Poly:
     """H_n(x; c+1) as the generating function of marker-edge matchings.
 
     The marker edge weighs +1, fixed points weigh x, edges nested by some
-    other edge weigh -1, and the remaining edges weigh -c.
+    other edge weigh -1, and the remaining edges weigh -c.  The sum runs as
+    a history recurrence, but it refuses n + 2 vertices past the
+    enumeration cap, as enumerate_marker_edge_matchings does.
     """
-
-    def weigh(m: Matching) -> Poly:
-        # The marker edge starts at vertex 1, so nothing nests it.
-        special = len(nonnested_edges(m)) - 1
-        sign = -1 if (len(m.edges) - 1) % 2 else 1
-        return Poly.monomial(len(m.fixed_points()), special, sign)
-
-    return _gf(enumerate_marker_edge_matchings(n), weigh)
+    _check_cap(n + 2)
+    return _marker_edge(n)
 
 
 def associated_in_hermite_basis(n: int) -> Poly:

@@ -15,7 +15,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .matchings import Matching, enumerate_complete
 from .polynomials import Poly
@@ -167,38 +167,50 @@ def _reverse_insert(rows: list[list[int]], row_index: int) -> int:
     return v
 
 
-def tableau_to_matching(t: OscillatingTableau) -> Matching:
-    """Invert the bijection by running the walk backward.
+def _walk_back(t: OscillatingTableau) -> Iterator[tuple[int, int, list[list[int]]]]:
+    """Run the walk backward, from the final empty shape toward the start.
 
-    Walking from the final empty shape toward the start, a shrink step of
-    the forward walk looks like growth: it reintroduces the next unseen
-    label (counting up from 1) at the recorded corner and marks a right
-    endpoint.  A forward growth step looks like a shrink: reverse insertion
-    from its corner ejects the label, closing that edge at its left end.
+    A shrink step of the forward walk looks like growth: it reintroduces
+    the next unseen label (counting up from 1) at the recorded corner, for
+    a right endpoint.  A forward growth step looks like a shrink: reverse
+    insertion from its corner ejects the label, for a left endpoint.  For
+    each vertex v from the last this yields v, the label _edge_labels gives
+    its edge, and the filling before v, forward_fillings(m)[v - 1]: one
+    list of rows, changed in place by the next step.
     """
     shapes = t.shapes
-    n = t.length
     rows: list[list[int]] = []
     next_label = 1
-    right_end: dict[int, int] = {}
-    edges = []
-    for v in range(n, 0, -1):
+    for v in range(t.length, 0, -1):
         direction, row_index = _step(shapes[v - 1], shapes[v])
         if direction == -1:
             while len(rows) <= row_index:
                 rows.append([])
             rows[row_index].append(next_label)
-            right_end[next_label] = v
+            label = next_label
             next_label += 1
         else:
             label = _reverse_insert(rows, row_index)
+        yield v, label, rows
+
+
+def tableau_to_matching(t: OscillatingTableau) -> Matching:
+    """Invert the bijection by running the walk backward: a label met for
+    the first time marks a right endpoint, and met again its edge's left
+    one."""
+    right_end: dict[int, int] = {}
+    edges = []
+    for v, label, _ in _walk_back(t):
+        if label in right_end:
             edges.append((v, right_end.pop(label)))
-    if rows or right_end:
+        else:
+            right_end[label] = v
+    if right_end:
         raise ValueError("walk did not close all edges")
-    return Matching(n, tuple(edges))
+    return Matching(t.length, tuple(edges))
 
 
-def _label_depths(fillings: list[Filling]) -> dict[int, tuple[int, int]]:
+def _label_depths(fillings: Iterable[Sequence[Sequence[int]]]) -> dict[int, tuple[int, int]]:
     """The deepest row and deepest column, from 0, that each label reaches."""
     depths: dict[int, tuple[int, int]] = {}
     for filling in fillings:
@@ -223,7 +235,9 @@ def tableau_weight(t: OscillatingTableau, statistic: str = "column") -> Poly:
     if statistic not in ("column", "row"):
         raise ValueError(f"unknown statistic {statistic!r}")
     axis = 1 if statistic == "column" else 0
-    depths = _label_depths(forward_fillings(tableau_to_matching(t)))
+    # The backward walk passes through every forward filling, so it reads
+    # each label's depths without building the matching.
+    depths = _label_depths(rows for _, _, rows in _walk_back(t))
     return Poly.monomial(0, sum(1 for depth in depths.values() if depth[axis] == 0))
 
 

@@ -4,12 +4,14 @@ Every identity the library implements is checked here with exact
 arithmetic, by brute-force enumeration or, for sums over matchings that a
 history recurrence covers, by that recurrence, which the tests check
 against enumeration: the block-matching sums and the moments as matching
-sums (`_history._histories`), and the paired-matching sums
-(`_history._paired_rows`).  Each suite returns a RunReport that
-lists how many cases ran and which failed.  `run_all` runs a level's
-suites on a pool of forked workers, one per available CPU.  The desk level
-finishes in seconds; the extended level adds the four-edge rooted-map
-census.
+sums (`_history._histories`), the paired-matching sums
+(`_history._paired_rows`), and the partial-matching and marker-edge models
+of the polynomials (`_history._partial_matchings` and
+`_history._marker_edge`).  Each suite returns a RunReport that lists how
+many cases ran and which failed.  `run_all` runs a level's suites on a
+pool of forked workers, one per available CPU, longest first.  The desk
+level finishes in seconds; the extended level adds the four-edge
+rooted-map census.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ class RunReport:
     cases: int = 0
     failures: list[Failure] = field(default_factory=list)
     seconds: float = 0.0
+    start: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -136,6 +139,7 @@ class RunReport:
         }
         if with_timing:
             obj["seconds"] = round(self.seconds, 3)
+            obj["start"] = round(self.start, 3)
         return obj
 
 
@@ -402,8 +406,9 @@ def suite_mixed(rec: RunReport) -> None:
 @_suite("polynomial models")
 def suite_polynomial_models(rec: RunReport) -> None:
     """The shifted polynomials expand over the plain Hermite basis with
-    anchored-configuration coefficients; the marker-edge matchings and the
-    two-row matchings generate what they should."""
+    anchored-configuration coefficients; the partial-matching and
+    marker-edge models and the two-row matchings generate what they
+    should."""
     for n in range(11):
         rec.check(
             f"basis expansion degree {n}",
@@ -754,10 +759,41 @@ def _suites(level: str) -> list[Callable[[], RunReport]]:
     return suites
 
 
-def _run_suite(level: str, index: int) -> RunReport:
-    """Run one suite in a pool worker.  The worker looks the suite up in
-    the module state it inherited at the fork, so a suite need not pickle."""
-    return _suites(level)[index]()
+# Every suite, longest first by its desk `--timings` seconds.  The pool
+# hands the suites out in this order, so no long suite starts last and
+# keeps one worker busy after the others finish; suites missing here go
+# after these, in suite order.
+_LONGEST_FIRST = (
+    suite_orthogonality,
+    suite_bijections,
+    suite_involution,
+    suite_linearization,
+    suite_mixed,
+    suite_polynomial_models,
+    suite_moment_tables,
+    suite_conjecture,
+    suite_maps_extended,
+    suite_chebyshev,
+    suite_published_values,
+    suite_moment_sequence,
+)
+
+
+def _dispatch_order(level: str) -> list[int]:
+    """The indices into _suites(level) in the order the pool starts them."""
+    suites = _suites(level)
+    rank = {suite: i for i, suite in enumerate(_LONGEST_FIRST)}
+    return sorted(range(len(suites)), key=lambda i: rank.get(suites[i], len(rank)))
+
+
+def _run_suite(level: str, index: int, origin: float) -> RunReport:
+    """Run one suite and record when it started, in seconds after origin.
+    A pool worker looks the suite up in the module state it inherited at
+    the fork, so a suite need not pickle."""
+    start = time.perf_counter() - origin
+    report = _suites(level)[index]()
+    report.start = start
+    return report
 
 
 def _available_cpus() -> int:
@@ -772,12 +808,15 @@ def run_all(level: str = "desk") -> list[RunReport]:
     suite order.
 
     The suites are independent, so they run on a pool of forked workers,
-    one per available CPU.  They run one after another in this process
-    instead with one CPU, where processes cannot be forked, or while other
-    threads run, since a fork copies locks those threads may hold.  Each
-    report's seconds are the suite's time inside its worker."""
-    suites = _suites(level)
-    workers = min(len(suites), _available_cpus())
+    one per available CPU, which starts them longest first.  They run one
+    after another in this process instead with one CPU, where processes
+    cannot be forked, or while other threads run, since a fork copies locks
+    those threads may hold.  Each report's seconds are the suite's time
+    inside its worker, and its start is when the suite began, in seconds
+    after run_all began."""
+    origin = time.perf_counter()
+    count = len(_suites(level))
+    workers = min(count, _available_cpus())
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
 
@@ -790,5 +829,8 @@ def run_all(level: str = "desk") -> list[RunReport]:
             sys.stderr.flush()
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_run_suite, itertools.repeat(level), range(len(suites))))
-    return [suite() for suite in suites]
+                futures = {
+                    i: pool.submit(_run_suite, level, i, origin) for i in _dispatch_order(level)
+                }
+                return [futures[i].result() for i in range(count)]
+    return [_run_suite(level, i, origin) for i in range(count)]

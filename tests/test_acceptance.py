@@ -139,7 +139,7 @@ def test_verify_all_timings_leave_stdout_unchanged(fmt):
     assert err == ""
     timings = [json.loads(line) for line in timed_err.splitlines()]
     assert [(t["suite"], t["cases"]) for t in timings] == DESK_CASES
-    assert all(t["seconds"] >= 0 and t["failures"] == [] for t in timings)
+    assert all(t["seconds"] >= 0 and t["start"] >= 0 and t["failures"] == [] for t in timings)
 
 
 def test_criterion_01_moment_tables():

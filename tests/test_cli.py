@@ -8,6 +8,7 @@ import io
 import json
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 
@@ -480,8 +481,19 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
 
         return body
 
-    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suite(name) for name in "abcd"))
+    stubs = {name: suite(name) for name in "abcd"}
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(stubs.values()))
+    # d and b are ranked longest; the unranked a and c follow in suite order.
+    monkeypatch.setattr(verification, "_LONGEST_FIRST", (stubs["d"], stubs["b"]))
     monkeypatch.setattr(verification, "_available_cpus", lambda: cpus)
+    dispatched = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(pool, fn, level, index, origin):
+        dispatched.append(index)
+        return submit(pool, fn, level, index, origin)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     stop = threading.Event()
     running = [threading.Thread(target=stop.wait) for _ in range(threads)]
     for thread in running:
@@ -494,6 +506,19 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
             thread.join(timeout=10)
     assert [(r.suite, r.cases, r.failures) for r in reports] == [
         (name, 2, [verification.Failure("recorded failure", "", name)]) for name in "abcd"
+    ]
+    assert dispatched == ([3, 1, 0, 2] if forked else [])
+    assert all(r.start >= 0 for r in reports)
+
+
+@pytest.mark.parametrize("level", verification.LEVELS)
+def test_dispatch_order_starts_every_suite_once(level):
+    suites = verification._suites(level)
+    order = verification._dispatch_order(level)
+    assert sorted(order) == list(range(len(suites)))
+    assert set(suites) <= set(verification._LONGEST_FIRST)
+    assert [suites[i].__name__ for i in order[:3]] == [
+        "suite_orthogonality", "suite_bijections", "suite_involution"
     ]
 
 

@@ -5,7 +5,14 @@ from math import comb, prod
 import pytest
 
 from assoc_hermite import models
-from assoc_hermite.matchings import Matching, _pairings
+from assoc_hermite.matchings import (
+    Matching,
+    WeightScheme,
+    _pairings,
+    enumerate_incomplete,
+    nonnested_edges,
+    weight,
+)
 from assoc_hermite.models import (
     anchored_config_gf,
     anchored_config_slots,
@@ -23,7 +30,7 @@ from assoc_hermite.models import (
     two_row_matching_gf,
     usual_hermite,
 )
-from assoc_hermite.polynomials import C, Poly, X, rising_factorial
+from assoc_hermite.polynomials import C, Poly, X, _gf, rising_factorial
 from assoc_hermite.verification import suite_polynomial_models
 from test_polynomials import assert_canonical
 
@@ -63,14 +70,38 @@ def _collect_by_x(p):
     return out
 
 
-@pytest.mark.parametrize("n", range(9))
+# The history recurrences of the two matching models against the
+# enumerations they replace.
+
+
+@pytest.mark.parametrize("n", range(11))
 def test_matchings_model_matches_recurrence(n):
-    assert associated_hermite_matchings(n) == associated_hermite(n)
+    expected = _gf(enumerate_incomplete(n), lambda m: weight(m, WeightScheme.POLY_RIGHTMOST))
+    summed = associated_hermite_matchings(n)
+    assert_canonical(summed)
+    assert summed == expected
 
 
-@pytest.mark.parametrize("n", range(8))
+def test_matchings_model_refuses_past_the_enumeration_cap():
+    with pytest.raises(ValueError, match=r"^n=17 exceeds the enumeration cap 16$"):
+        associated_hermite_matchings(17)
+
+
+def marker_edge_weight(m: Matching) -> Poly:
+    """The weight of one marker-edge matching: the marker edge weighs +1,
+    fixed points x, edges nested by another -1 and the rest -c."""
+    # The marker edge starts at vertex 1, so nothing nests it.
+    special = len(nonnested_edges(m)) - 1
+    sign = -1 if (len(m.edges) - 1) % 2 else 1
+    return Poly.monomial(len(m.fixed_points()), special, sign)
+
+
+@pytest.mark.parametrize("n", range(10))
 def test_marker_edge_model_is_the_shifted_polynomial(n):
-    assert marker_edge_model(n) == associated_hermite(n).shift_c()
+    expected = _gf(enumerate_marker_edge_matchings(n), marker_edge_weight)
+    summed = marker_edge_model(n)
+    assert_canonical(summed)
+    assert summed == expected
 
 
 def test_marker_edge_refusal_counts_the_two_marker_vertices():

@@ -15,6 +15,7 @@ from assoc_hermite.tableaux import (
     _edge_labels,
     _label_depths,
     _step,
+    _walk_back,
     enumerate_tableaux,
     forward_fillings,
     matching_to_tableau,
@@ -101,7 +102,7 @@ def test_right_crossing_does_not_force_leaving_row_one():
     assert weight(m, WeightScheme.MOMENT_NO_RIGHT_CROSSING) == Poly.monomial(0, 1)
 
 
-# ----- the earlier per-label scans, kept as oracles for _step and _label_depths -----
+# ----- the earlier per-label scans and forward walk, kept as oracles -----
 
 
 def reference_step_size(prev, cur):
@@ -151,6 +152,35 @@ def test_tableau_weight_matches_the_per_label_scan():
                 assert tableau_weight(t, statistic) == reference_tableau_weight(t, statistic)
             count += 1
     assert count == 1070
+
+
+def forward_tableau_weights(fillings):
+    """The column and row weights as defined before the one-walk version:
+    each label's depths read from the forward fillings of the inverted
+    walk."""
+    depths = _label_depths(fillings).values()
+    return tuple(
+        Poly.monomial(0, sum(1 for depth in depths if depth[axis] == 0)) for axis in (1, 0)
+    )
+
+
+def test_backward_walk_retraces_the_forward_fillings():
+    count = 0
+    for length in range(0, 13, 2):
+        for t in enumerate_tableaux(length):
+            m = tableau_to_matching(t)
+            labels = {}
+            backward = [()]
+            for v, label, rows in _walk_back(t):
+                labels[v] = label
+                backward.append(tuple(tuple(row) for row in rows))
+            fillings = forward_fillings(m)
+            assert labels == _edge_labels(m)
+            assert backward == fillings[::-1]
+            weights = (tableau_weight(t, "column"), tableau_weight(t, "row"))
+            assert weights == forward_tableau_weights(fillings)
+            count += 1
+    assert count == 11465
 
 
 def test_step_matches_the_size_and_row_scans():
