@@ -5,14 +5,16 @@ whether an arc opens or closes there.  Whenever a closing arc's weight
 depends only on a few counts of the arcs open at that moment, the sum of
 weights over all matchings is a sum over histories in those counts, which
 costs time polynomial in the number of vertices (Flajolet, "Combinatorial
-aspects of continued fractions", 1980; Viennot, UQAM 1983).  Each state
-carries its weight sum as a list of integer coefficients of c, summed by
-`polynomials._add_scaled`, and the final list becomes a Poly through
-Poly._from_rows.
+aspects of continued fractions", 1980; Viennot, UQAM 1983).
+
+One kernel, `_sweep`, sums every recurrence here: each state maps to its
+weight sum, a list of integer coefficients of c, and a move function says
+where a state goes at the next vertex and what the step weighs.  Blocks
+and rows add a boundary rule, which `_regroup` applies between them.
 
 - `_histories` sums complete matchings on consecutive blocks with no arc
-  inside a block, under every WeightScheme; unit blocks give all complete
-  matchings, so the moments too.
+  inside a block, under every WeightScheme, so the moments on unit blocks;
+  a backward bound, `need`, drops the states that cannot close in time.
 - `_paired_rows` sums the signed weights of paired matchings on consecutive
   rows, black arcs staying inside one row.
 - `_partial_matchings` and `_marker_edge` sum the two polynomial models of
@@ -23,12 +25,37 @@ The enumerators these replace stay in the tests as their oracles.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .matchings import WeightScheme
 from .polynomials import Poly, _add_scaled
 
 _States = dict[tuple[int, ...], list[int]]
+
+
+def _sweep(states: _States, remaining: range, moves: Callable) -> _States:
+    """Read one vertex per count in remaining, the number of vertices after
+    it, largest first.  moves(state, left) yields (state', plain, special):
+    state' gains (plain + special c) times the sum of state."""
+    for left in reversed(remaining):
+        step: _States = {}
+        for state, coeffs in states.items():
+            for nxt, plain, special in moves(state, left):
+                acc = step.setdefault(nxt, [])
+                _add_scaled(acc, coeffs, plain)
+                _add_scaled(acc, coeffs, special, 1)
+        states = step
+    return states
+
+
+def _regroup(states: _States, key: Callable) -> _States:
+    """The states renamed by key, summing those it merges and dropping those
+    it sends to None."""
+    merged: _States = {}
+    for state, coeffs in states.items():
+        if (new := key(state)) is not None:
+            _add_scaled(merged.setdefault(new, []), coeffs, 1)
+    return merged
 
 
 # How closing one arc weighs, as plain + special * c, given the number of
@@ -55,11 +82,13 @@ _READS_R = {WeightScheme.POLY_RIGHTMOST}
 def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     """The weighted block-matching sum as a history recurrence.
 
-    The vertices are read left to right in the state (h, k, r): h arcs are
-    open, k of them opened in the current block and r since the last close
-    (r stays 0 under the schemes that do not read it).  A vertex opens an
-    arc, or closes one of the h - k arcs from earlier blocks; that closing
-    arc's weight depends only on its rank among the open arcs.
+    The state is (h, k, r): h arcs are open, k of them opened in the
+    current block and r since the last close (0 unless the scheme reads it).
+    A vertex opens an arc, or closes one of the h - k from earlier blocks.
+    A block opens at most room arcs, room being the vertices after it, so
+    need[v], the fewest arcs open with v vertices left, grows by one per
+    vertex counted back from the end, but falls by one, down to 0, over each
+    block's last room vertices; in the last block every vertex closes.
     """
     if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
         return _histories(sizes[::-1], WeightScheme.MOMENT_NO_RIGHT_CROSSING)
@@ -69,26 +98,30 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     closing_weight = _CLOSING_WEIGHTS[scheme]
     tracks_r = scheme in _READS_R
-    states: _States = {(0, 0, 0): [1]}
-    remaining = sum(sizes)
+    need = [0]
+    for size in reversed(sizes):
+        room = len(need) - 1
+        for j in range(size):
+            need.append(need[-1] + 1 if j >= room else max(need[-1] - 1, 0))
+
+    def moves(state, left):
+        h, k, r = state
+        if need[left] <= h + 1 <= left:
+            yield (h + 1, k + 1, r + 1 if tracks_r else 0), 1, 0
+        if h > k and h > need[left]:
+            yield (h - 1, k, 0), *closing_weight(h - k, k, r)
+
+    # Every block starts with k = 0.
+    return _blockwise(sizes, lambda state: (state[0], 0, state[2]), moves)
+
+
+def _blockwise(sizes: Sequence[int], boundary: Callable, moves: Callable) -> Poly:
+    """The sum of the histories in (h, k, r) on consecutive blocks of these
+    sizes that end with no arc open, regrouped by boundary before each."""
+    states, remaining = {(0, 0, 0): [1]}, sum(sizes)
     for size in sizes:
-        boundary: _States = {}
-        for (h, _, r), coeffs in states.items():
-            _add_scaled(boundary.setdefault((h, 0, r), []), coeffs, 1)
-        states = boundary
-        for _ in range(size):
-            remaining -= 1
-            step: _States = {}
-            for (h, k, r), coeffs in states.items():
-                if h < remaining:
-                    opened = step.setdefault((h + 1, k + 1, r + 1 if tracks_r else 0), [])
-                    _add_scaled(opened, coeffs, 1)
-                if h > k:
-                    plain, special = closing_weight(h - k, k, r)
-                    closed = step.setdefault((h - 1, k, 0), [])
-                    _add_scaled(closed, coeffs, plain)
-                    _add_scaled(closed, coeffs, special, 1)
-            states = step
+        states = _sweep(_regroup(states, boundary), range(remaining - size, remaining), moves)
+        remaining -= size
     return Poly._from_rows([states.get((0, 0, 0), [])])
 
 
@@ -100,75 +133,51 @@ def _check_rows(rows: Sequence[int]) -> None:
 def _paired_rows(rows: Sequence[int]) -> Poly:
     """The sum of the signed paired-matching weights on consecutive rows.
 
-    A paired matching here is a complete matching of the sum(rows) vertices
-    whose arcs are black or green, every black arc inside one row; with two
-    rows this is enumerate_paired, and each matching weighs as in
-    paired_weight.  The vertices are read left to right in the state
-    (g, k, r): g green and k black arcs are open, r of the black ones opened
-    since the last close or green opening.
-
-    - A green arc weighs c only when no newer green arc is open as it
-      closes, so closing one of the g weighs c + (g - 1).
-    - A black arc weighs -c only when nothing closes and no green arc opens
-      inside it, which holds for exactly the r newest black arcs, so closing
-      one of the k weighs -(r c + (k - r)).
-    - Every close and every green opening sets r to 0, and k is 0 at every
-      row boundary.
+    A paired matching here is a complete matching whose arcs are black or
+    green, every black arc inside one row (on two rows, enumerate_paired),
+    weighed as in paired_weight.  The state is (g, k, r): g green and k
+    black arcs open, r of the black ones since the last close or green
+    opening.  Only a green arc with no newer green arc open weighs c, so a
+    green close weighs c + g - 1; only the r newest black arcs enclose no
+    close or green opening and weigh -c, so a black close -(r c + k - r).
     """
     _check_rows(rows)
-    remaining = sum(rows)
-    if remaining % 2:
-        return Poly.zero()
-    states: _States = {(0, 0, 0): [1]}
-    for size in rows:
-        for _ in range(size):
-            remaining -= 1
-            step: _States = {}
-            for (g, k, r), coeffs in states.items():
-                if g + k < remaining:
-                    _add_scaled(step.setdefault((g + 1, k, 0), []), coeffs, 1)
-                    _add_scaled(step.setdefault((g, k + 1, r + 1), []), coeffs, 1)
-                if g:
-                    closed = step.setdefault((g - 1, k, 0), [])
-                    _add_scaled(closed, coeffs, g - 1)
-                    _add_scaled(closed, coeffs, 1, 1)
-                if k:
-                    closed = step.setdefault((g, k - 1, 0), [])
-                    _add_scaled(closed, coeffs, r - k)
-                    _add_scaled(closed, coeffs, -r, 1)
-            states = step
-        # Black arcs stay inside their row.
-        states = {key: coeffs for key, coeffs in states.items() if key[1] == 0}
-    return Poly._from_rows([states.get((0, 0, 0), [])])
+
+    def moves(state, left):
+        g, k, r = state
+        if g + k < left:
+            yield (g + 1, k, 0), 1, 0
+            yield (g, k + 1, r + 1), 1, 0
+        if g:
+            yield (g - 1, k, 0), g - 1, 1
+        if k:
+            yield (g, k - 1, 0), r - k, -r
+
+    # Black arcs stay inside their row.
+    return _blockwise(rows, lambda state: state if state[1] == 0 else None, moves)
 
 
 def _partial_matchings(n: int) -> Poly:
     """The sum of the POLY_RIGHTMOST weights of the partial matchings of [n].
 
-    The vertices are read left to right in the state (h, r, f): h arcs are
-    open, r of them opened since the last close or fixed point, and f
-    vertices stayed fixed.  A fixed point weighs x.  An arc nests nothing
-    and has no left crossing exactly when no vertex closed or stayed fixed
-    since it opened, which holds for the r newest open arcs, so a close
-    weighs -(r c + (h - r)), the `_histories` closing weight with k = 0.
-    Every close and fixed point sets r to 0.
+    The state is (h, r, f): h arcs are open, r of them opened since the
+    last close or fixed point, and f vertices stayed fixed, each weighing x.
+    Only the r newest arcs nest nothing and have no left crossing, so a
+    close weighs the `_histories` closing weight with k = 0.
     """
     closing_weight = _CLOSING_WEIGHTS[WeightScheme.POLY_RIGHTMOST]
-    states: _States = {(0, 0, 0): [1]}
-    # remaining vertices follow this one, at least one per arc left open.
-    for remaining in range(n - 1, -1, -1):
-        step: _States = {}
-        for (h, r, f), coeffs in states.items():
-            if h <= remaining:
-                _add_scaled(step.setdefault((h, 0, f + 1), []), coeffs, 1)
-            if h < remaining:
-                _add_scaled(step.setdefault((h + 1, r + 1, f), []), coeffs, 1)
-            if h:
-                plain, special = closing_weight(h, 0, r)
-                closed = step.setdefault((h - 1, 0, f), [])
-                _add_scaled(closed, coeffs, plain)
-                _add_scaled(closed, coeffs, special, 1)
-        states = step
+
+    def moves(state, left):
+        # At least one vertex must follow for each arc left open.
+        h, r, f = state
+        if h <= left:
+            yield (h, 0, f + 1), 1, 0
+        if h < left:
+            yield (h + 1, r + 1, f), 1, 0
+        if h:
+            yield (h - 1, 0, f), *closing_weight(h, 0, r)
+
+    states = _sweep({(0, 0, 0): [1]}, range(n), moves)
     return Poly._from_rows([states.get((0, 0, f), []) for f in range(n + 1)])
 
 
@@ -176,35 +185,25 @@ def _marker_edge(n: int) -> Poly:
     """The sum of the weights of the marker-edge matchings on n + 2 vertices.
 
     The marker edge (1, t) weighs +1.  The vertices 2, ..., n + 2 are read
-    left to right in the state (h, f): h arcs are open and f vertices stayed
-    fixed.
-    - Inside the marker every arc is nested by it, so a fixed point weighs
-      x and closing one of the h open arcs weighs -h.
-    - At t the marker closes, which needs one open arc for each of the
-      n + 2 - t vertices after t.
-    - After t every vertex closes an arc that crosses the marker.  Only the
-      oldest of the j open arcs is nested by none, so the close weighs
-      -(c + j - 1).
+    in the state (after, h, f): whether t is read, h arcs open, f fixed.
+    Inside the marker every arc is nested by it: a fixed point weighs x, a
+    close -h.  t leaves one open arc per vertex after it, each closing one
+    that crosses the marker, -(c + h - 1) as only the oldest is unnested.
     """
-    inside: _States = {(0, 0): [1]}
-    after: _States = {}
-    # remaining vertices follow this one; past a vertex inside the marker
-    # come t and then one vertex per open arc.
-    for remaining in range(n, -1, -1):
-        next_inside: _States = {}
-        next_after: _States = {}
-        for (j, f), coeffs in after.items():
-            closed = next_after.setdefault((j - 1, f), [])
-            _add_scaled(closed, coeffs, 1 - j)
-            _add_scaled(closed, coeffs, -1, 1)
-        for (h, f), coeffs in inside.items():
-            if h == remaining:
-                _add_scaled(next_after.setdefault((h, f), []), coeffs, 1)
-            if h < remaining:
-                _add_scaled(next_inside.setdefault((h, f + 1), []), coeffs, 1)
-            if h + 1 < remaining:
-                _add_scaled(next_inside.setdefault((h + 1, f), []), coeffs, 1)
-            if h:
-                _add_scaled(next_inside.setdefault((h - 1, f), []), coeffs, -h)
-        inside, after = next_inside, next_after
-    return Poly._from_rows([after.get((0, f), []) for f in range(n + 1)])
+
+    def moves(state, left):
+        after, h, f = state
+        if after:
+            yield (1, h - 1, f), 1 - h, -1
+            return
+        if h == left:
+            yield (1, h, f), 1, 0
+        if h < left:
+            yield (0, h, f + 1), 1, 0
+        if h + 1 < left:
+            yield (0, h + 1, f), 1, 0
+        if h:
+            yield (0, h - 1, f), -h, 0
+
+    states = _sweep({(0, 0, 0): [1]}, range(n + 1), moves)
+    return Poly._from_rows([states.get((1, 0, f), []) for f in range(n + 1)])

@@ -56,17 +56,15 @@ from .verification import run_all
 # `mixed 60 80`: 7.4 s).  moment(k) enumerates Dyck paths (`moments --upto
 # 20` and `orthogonality 10 10`: 11.4-11.5 s), and `conjecture` needs
 # moment(sum_max) (`--sum-max 20`: 14.5-18.1 s).  `gf` sums block matchings
-# by a recurrence; at total 200 the worst found is `rightmost` on 80 blocks
-# of 1 then one of 120 (15-16 s; its mirror under `reversed-rightmost`
-# 18.5 s), and the moment schemes take 0.9-1.6 s on 50,50,50,50 and
-# 40,40,40,40,40.
+# by a recurrence that drops histories unable to close in time (80 blocks
+# of 1 then one of 120: 0.2 s); at total 200 the worst found is `rightmost`
+# on 75-80 blocks of 1, one of 60-65, then 60 of 1 (15-19.7 s, close to the
+# budget), then 200 blocks of 1 (5.4-8.6 s); the moment schemes stay near 1 s.
 # `quadruples` translates every rooted map (8,162 at 5 edges, 2.4 s).  The
 # other bijections take one object of at most 300 edges; the worst is
 # `tailswap` on the all-crossing matching (i, i+300), cubic through its two
 # crossing-count assertions per swap (6.2 s).  `poly matchings` and
-# `marker-edge` keep the limits they had when they enumerated matchings
-# (13: 8.5-9.1 s; 12: 7.2-8.6 s); they now sum by history recurrences and
-# take 0.1-0.2 s there, interpreter start included.
+# `marker-edge` sum by history recurrences; their times are beside them.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20
@@ -77,8 +75,8 @@ _MAX_BIJECTION_EDGES = 300
 # Each `poly` generator and the largest degree it accepts.
 GENERATORS = {
     "recurrence": (associated_hermite, _MAX_RECURRENCE_DEGREE),
-    "matchings": (associated_hermite_matchings, 13),
-    "marker-edge": (marker_edge_model, 12),
+    "matchings": (associated_hermite_matchings, 100),  # 9.8-11.3 s
+    "marker-edge": (marker_edge_model, 300),  # 6.2 s; 11.7-11.9 s --shifted
     "basis": (associated_in_hermite_basis, _MAX_RECURRENCE_DEGREE),
     "hermite": (usual_hermite, _MAX_RECURRENCE_DEGREE),
     "chebyshev": (chebyshev_u, _MAX_RECURRENCE_DEGREE),

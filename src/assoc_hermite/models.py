@@ -103,10 +103,8 @@ def associated_hermite_matchings(n: int) -> Poly:
 
     Fixed points weigh x; an edge weighs -c when it nests no fixed point or
     edge and has no left crossing, and -1 otherwise.  The sum runs as a
-    history recurrence and enumerates nothing, but it refuses n past the
-    enumeration cap, as enumerate_incomplete does.
+    history recurrence and enumerates nothing, so no enumeration cap applies.
     """
-    _check_cap(n)
     return _partial_matchings(n)
 
 
@@ -134,10 +132,9 @@ def marker_edge_model(n: int) -> Poly:
 
     The marker edge weighs +1, fixed points weigh x, edges nested by some
     other edge weigh -1, and the remaining edges weigh -c.  The sum runs as
-    a history recurrence, but it refuses n + 2 vertices past the
-    enumeration cap, as enumerate_marker_edge_matchings does.
+    a history recurrence and enumerates nothing, so no enumeration cap
+    applies.
     """
-    _check_cap(n + 2)
     return _marker_edge(n)
 
 

@@ -162,7 +162,7 @@ def test_removed_options_are_usage_errors(capsys, argv):
         ["mixed", "71", "70"],
         ["mixed", "0", "141"],
         ["bijection", "quadruples", "6"],
-        ["poly", "marker-edge", "15"],
+        ["poly", "marker-edge", "450"],
         ["gf", "101,101"],
         ["conjecture", "--sum-max", "21"],
         ["bijection", "tableau", NONCROSSING],
@@ -170,8 +170,8 @@ def test_removed_options_are_usage_errors(capsys, argv):
         ["bijection", "tailswap", ALL_CROSSING],
         ["bijection", "tailswap-inv", NONCROSSING],
         ["bijection", "map-matching", LOOPS],
-        ["poly", "matchings", "14"],
-        ["poly", "marker-edge", "13"],
+        ["poly", "matchings", "101"],
+        ["poly", "marker-edge", "301"],
     ],
 )
 def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
@@ -189,8 +189,8 @@ def test_costly_commands_refuse_sizes_past_their_cap(capsys, argv):
         (["linearize", "71", "70"], "_linearize"),
         (["mixed", "0", "141"], "_mix"),
         (["bijection", "tailswap", ALL_CROSSING], "tail_swap"),
-        (["poly", "matchings", "14"], "matchings"),
-        (["poly", "marker-edge", "13"], "marker-edge"),
+        (["poly", "matchings", "101"], "matchings"),
+        (["poly", "marker-edge", "301"], "marker-edge"),
     ],
 )
 def test_size_limits_are_checked_before_any_work(capsys, monkeypatch, argv, work):
@@ -282,6 +282,18 @@ def test_gf_sums_block_totals_past_the_enumeration_cap(capsys):
     assert rc == 0
     value = Poly.from_json_obj(json.loads(out)["value"])
     assert value.evaluate(c_value=1) == factorial(9)
+
+
+@pytest.mark.parametrize(
+    "sizes, scheme",
+    [("1," * 80 + "120", "rightmost"), ("120" + ",1" * 80, "reversed-rightmost")],
+)
+def test_gf_is_zero_when_the_last_block_outnumbers_the_rest(capsys, sizes, scheme):
+    # Read toward it, the block of 120 can only close arcs, and at most 80
+    # are open before it; the backward bound drops every history at once.
+    rc, out, _ = run(capsys, "gf", sizes, "--scheme", scheme)
+    assert rc == 0
+    assert json.loads(out)["value"] == []
 
 
 def test_gf_odd_total_is_zero(capsys):

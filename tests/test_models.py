@@ -14,20 +14,14 @@ from assoc_hermite.matchings import (
     weight,
 )
 from assoc_hermite.models import (
-    anchored_config_gf,
-    anchored_config_slots,
     associated_hermite,
     associated_hermite_matchings,
     associated_in_hermite_basis,
-    chebyshev_limit,
     chebyshev_rescaled_terms,
     chebyshev_u,
-    chebyshev_u_matchings,
-    enumerate_anchored_configs,
     enumerate_marker_edge_matchings,
     enumerate_two_row_matchings,
     marker_edge_model,
-    two_row_matching_gf,
     usual_hermite,
 )
 from assoc_hermite.polynomials import C, Poly, X, _gf, rising_factorial
@@ -82,9 +76,10 @@ def test_matchings_model_matches_recurrence(n):
     assert summed == expected
 
 
-def test_matchings_model_refuses_past_the_enumeration_cap():
-    with pytest.raises(ValueError, match=r"^n=17 exceeds the enumeration cap 16$"):
-        associated_hermite_matchings(17)
+def test_matchings_model_sums_past_the_enumeration_cap():
+    # The recurrence enumerates nothing, so 17 vertices are no limit; the
+    # CLI's own degree limit is checked in test_cli.
+    assert associated_hermite_matchings(17) == associated_hermite(17)
 
 
 def marker_edge_weight(m: Matching) -> Poly:
@@ -104,10 +99,9 @@ def test_marker_edge_model_is_the_shifted_polynomial(n):
     assert summed == expected
 
 
-def test_marker_edge_refusal_counts_the_two_marker_vertices():
-    # The marker-edge model of degree n enumerates matchings on n + 2 vertices.
-    with pytest.raises(ValueError, match=r"^n=17 exceeds the enumeration cap 16$"):
-        marker_edge_model(15)
+def test_marker_edge_model_sums_past_the_enumeration_cap():
+    # Degree 15 reads 17 vertices, one past the enumeration cap.
+    assert marker_edge_model(15) == associated_hermite(15).shift_c()
 
 
 def filtered_marker_edge_matchings(n: int) -> list[Matching]:
@@ -154,15 +148,6 @@ def test_basis_expansion_identity():
         assert basis == expected
         if n <= 10:
             assert expected == associated_hermite(n).shift_c()
-
-
-def test_chebyshev_polynomials():
-    assert chebyshev_u(0) == Poly.one()
-    assert chebyshev_u(1) == X
-    assert chebyshev_u(2) == X**2 - 1
-    for n in range(1, 9):
-        assert chebyshev_u(n + 1) == X * chebyshev_u(n) - chebyshev_u(n - 1)
-        assert chebyshev_u_matchings(n) == chebyshev_u(n)
 
 
 FAMILY_TABLES = ("_ASSOCIATED", "_HERMITE", "_CHEBYSHEV")
@@ -240,34 +225,12 @@ def test_int_rows_match_the_poly_recurrence(cold_tables, family, b):
         assert p == table[n], n
 
 
-def test_chebyshev_limit():
-    for n in range(9):
-        assert chebyshev_limit(n) == chebyshev_u(n)
-
-
 def test_rescaled_terms_never_grow_with_c():
     for n in range(2, 9):
         shifts = {shift for (_, shift) in chebyshev_rescaled_terms(n)}
         assert max(shifts) <= 0
         if n >= 3:
             assert min(shifts) < 0  # something genuinely vanishes in the limit
-
-
-def test_anchored_config_gf():
-    for k in range(5):
-        assert anchored_config_gf(k) == (-1) ** k * rising_factorial(C, k)
-
-
-def test_anchored_config_slots():
-    for k in range(1, 4):
-        for cfg in enumerate_anchored_configs(k):
-            plain, special = anchored_config_slots(cfg)
-            assert (plain, special) == (k, 1)
-
-
-def test_two_row_gf():
-    for n in range(1, 7):
-        assert two_row_matching_gf(n) == rising_factorial(C + 1, n - 1)
 
 
 def test_two_row_matchings_shape():
