@@ -45,12 +45,11 @@ from .verification import run_all
 
 # Each command refuses sizes past its limit before doing any work.  Times at
 # the limit were taken on Python 3.11, a shared 2-core x86 host, fresh
-# interpreters, against a budget of 20 s.  The `poly` generators that do not
-# enumerate run the three-term recurrence on int rows.  At 450, `chebyshev`
-# and `hermite` take 0.3 s; `recurrence` and
-# `chebyshev-limit` 3.6-3.7 s, and `recurrence --shifted` 16-18 s (shift_c is
-# Fraction arithmetic), each peaking near 560-590 MB, mostly the rows of
-# H_0..H_450; `basis` sums on the same int rows in 3.0-3.7 s and 78 MB.
+# interpreters, against a budget of 20 s and 500 MB.  The `poly` generators
+# that do not enumerate walk the three-term recurrence forward on int rows,
+# keeping two.  At 450, `chebyshev` and `hermite` take 0.3 s; `recurrence`,
+# `chebyshev-limit` and `basis` 2.4-4.8 s, and `recurrence --shifted` 14-22 s
+# (shift_c is Fraction arithmetic, near the budget); all peak at 40-81 MB.
 # `linearize` and `mixed` cost about the 4.5th power of n + m, so their total
 # stops where the worst split fits in the budget (`linearize 70 70`: 10.5 s;
 # `mixed 60 80`: 7.4 s).  moment(k) enumerates Dyck paths (`moments --upto

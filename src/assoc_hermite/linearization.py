@@ -81,9 +81,9 @@ def linearization_coefficient_hypergeometric(
 
 
 def _expansion(coefficients: list[Poly], top: int) -> Poly:
-    """The sum of coefficients[k] H_{top-2k}(x; c) over k."""
+    """The sum of coefficients[k] H_{top-2k}(x; c), lowest degree first to walk forward."""
     return _gf(
-        range(len(coefficients)),
+        reversed(range(len(coefficients))),
         lambda k: coefficients[k] * associated_hermite(top - 2 * k),
     )
 

@@ -3,16 +3,13 @@
 The polynomials H_n(x; c) satisfy H_{n+1} = x H_n - (n - 1 + c) H_{n-1}
 with H_0 = 1 and H_n = 0 for n < 0.  At c = 1 they reduce to the usual
 Hermite polynomials H_{n+1} = x H_n - n H_{n-1}, and Chebyshev U_n sets that
-coefficient to 1: one builder runs all three recurrences.  Every coefficient
-of the three families is an integer (a signed count of matchings), so the
-builder runs on the dense int rows of `polynomials` (its `_add_scaled` and
-Poly._from_rows) and makes a degree's Poly, with the usual Fraction
-coefficients, only when that degree is asked for; the expansion in the
-usual Hermite basis sums on the same int rows.  Each model below builds the
-same polynomials from weighted matchings, and the Chebyshev limit extracts
-U_n(x) from the leading behaviour in c.  The partial-matching and
-marker-edge models are summed by the history recurrences of `_history`; the
-tests check them against the enumerations they replace.
+coefficient to 1.  One forward walk runs all three on dense int rows, since
+every coefficient counts signed matchings, and keeps only its last two rows.
+Each model below builds the same polynomials from weighted matchings, and
+the Chebyshev limit extracts U_n(x) from the leading behaviour in c.  The
+partial-matching and marker-edge models are summed by the history
+recurrences of `_history`; the tests check them against the enumerations
+they replace.
 """
 
 from __future__ import annotations
@@ -49,39 +46,39 @@ def _next_row(p1: _Row, p2: _Row, b0: int, b1: int) -> _Row:
     return row
 
 
-def _new_table() -> tuple[list[_Row], dict[int, Poly]]:
-    """A family table: the dense int rows of P_0 = 1 and P_1 = x, and the
-    Poly of each degree asked for so far (none yet)."""
-    return [[[1]], [[], [1]]], {}
+def _new_table() -> tuple[list, dict[int, Poly]]:
+    """A family table: the walk state [k, row of P_{k-1}, row of P_k], cold
+    at k = 1 (P_0 = 1, P_1 = x), and the Poly of each degree asked for."""
+    return [1, [[1]], [[], [1]]], {}
 
 
-def _three_term(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> Poly:
-    """P_n of P_k = x P_{k-1} - (b0 + b1 c) P_{k-2}, where b(k) = (b0, b1),
-    zero for n < 0.
+def _walk(state: list, b, n: int) -> Iterator[tuple[int, _Row]]:
+    """Each degree and int row from P_{k-1} through P_{max(n, k)} of
+    P_k = x P_{k-1} - (b0 + b1 c) P_{k-2}, b(k) = (b0, b1).  The state moves
+    forward with the walk; a degree it has passed restarts from P_0 and P_1."""
+    if n < state[0] - 1:
+        state[:] = _new_table()[0]
+    k, prev, row = state
+    yield from ((k - 1, prev), (k, row))
+    while k < n:
+        k += 1
+        prev, row = row, _next_row(row, prev, *b(k))
+        state[:] = k, prev, row
+        yield k, row
 
-    Every coefficient is an integer, so the rows extend in int arithmetic,
-    each degree once.  A degree's Poly is built from its row the first time
-    it is asked for and kept beside it.
-    """
+
+def _three_term(table: tuple[list, dict[int, Poly]], b, n: int) -> Poly:
+    """P_n of the table's walk, zero for n < 0; its Poly is built the first
+    time it is asked for and kept."""
     if n < 0:
         return Poly.zero()
-    polys = table[1]
+    state, polys = table
     if n not in polys:
-        polys[n] = Poly._from_rows(_rows(table, b, n)[n])
+        polys[n] = Poly._from_rows(next(row for k, row in _walk(state, b, n) if k == n))
     return polys[n]
 
 
-def _rows(table: tuple[list[_Row], dict[int, Poly]], b, n: int) -> list[_Row]:
-    """The table's int rows, extended through degree n."""
-    rows = table[0]
-    for k in range(len(rows), n + 1):
-        rows.append(_next_row(rows[k - 1], rows[k - 2], *b(k)))
-    return rows
-
-
-_ASSOCIATED = _new_table()
-_HERMITE = _new_table()
-_CHEBYSHEV = _new_table()
+_ASSOCIATED, _HERMITE, _CHEBYSHEV = (_new_table() for _ in range(3))
 
 
 def associated_hermite(n: int) -> Poly:
@@ -141,22 +138,23 @@ def marker_edge_model(n: int) -> Poly:
 def associated_in_hermite_basis(n: int) -> Poly:
     """The sum (-1)^k (c)_k binom(n-k, k) H_{n-2k}(x), equal to H_n(x; c+1).
 
-    Every factor has int coefficients, so each term is an int row of the
-    usual Hermite table (free of c) times the int coefficients of (c)_k,
-    summed into one dense row; the Poly is built once, from that row.
+    One walk of the usual Hermite recurrence folds each int row of n's parity,
+    times (c)_k, into one dense int row as it passes; the Poly is built once.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    hermite = _rows(_HERMITE, _hermite_b, n)
+    rising = [[1]]  # (c)_k for k = 0..n//2, lowest power of c first
+    for k in range(1, n // 2 + 1):
+        rising.append([(k - 1) * a + b for a, b in zip(rising[-1] + [0], [0] + rising[-1])])
     total: _Row = [[] for _ in range(n + 1)]
-    rising = [1]  # (c)_k, lowest power of c first
-    for k in range(n // 2 + 1):
-        if k:
-            rising = [(k - 1) * a + b for a, b in zip(rising + [0], [0] + rising)]
+    for degree, row in _walk(_new_table()[0], _hermite_b, n):
+        if (n - degree) % 2:
+            continue
+        k = (n - degree) // 2
         scale = (-1) ** k * comb(n - k, k)
-        for xd, col in enumerate(hermite[n - 2 * k]):
+        for xd, col in enumerate(row):
             for shift, q in enumerate(col):
-                _add_scaled(total[xd], rising, scale * q, shift)
+                _add_scaled(total[xd], rising[k], scale * q, shift)
     return Poly._from_rows(total)
 
 

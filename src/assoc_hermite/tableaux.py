@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .matchings import Matching, enumerate_complete
+from .matchings import Matching, _trusted, enumerate_complete
 from .polynomials import Poly
 
 Partition = tuple[int, ...]
@@ -153,7 +153,7 @@ def forward_fillings(m: Matching) -> list[Filling]:
 
 def matching_to_tableau(m: Matching) -> OscillatingTableau:
     shapes = tuple(tuple(len(r) for r in f) for f in forward_fillings(m))
-    return OscillatingTableau(shapes)
+    return _trusted(OscillatingTableau, shapes=shapes)
 
 
 def _reverse_insert(rows: list[list[int]], row_index: int) -> int:

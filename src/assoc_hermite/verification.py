@@ -22,6 +22,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -236,8 +237,10 @@ def suite_involution(rec: RunReport) -> None:
             # Each image and, where negation is claimed, each weight is
             # computed once per matching and looked up for its partner.
             paired = list(enumerate_paired(n, m))
-            images = {pm: orthogonality_involution(pm) for pm in paired
-                      if flip_candidate(pm) is not None}
+            images = {}
+            for pm in paired:
+                with suppress(ValueError):  # no edge to flip: a fixed point
+                    images[pm] = orthogonality_involution(pm)
             weights = {pm: paired_weight(pm) for pm in paired} if n >= m else {}
             fixed_perms = []
             for pm in paired:

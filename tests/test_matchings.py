@@ -19,6 +19,7 @@ from assoc_hermite.matchings import (
 from assoc_hermite.models import enumerate_marker_edge_matchings
 from assoc_hermite.moments import PairedMatching, enumerate_paired
 from assoc_hermite.polynomials import Poly
+from assoc_hermite.tableaux import OscillatingTableau, enumerate_tableaux
 
 
 def complete_from_order(order):
@@ -219,8 +220,9 @@ def test_is_connected_examples():
 
 
 def test_trusted_results_equal_their_validated_rebuilds():
-    """Every enumerator skips validation; the public constructors must
-    accept each object it yields and rebuild an equal one."""
+    """Every enumerator, and the forward walk that builds tableaux, skips
+    validation; the public constructors must accept each object it yields
+    and rebuild an equal one."""
     matchings = [m for n in range(9) for m in enumerate_incomplete(n)]
     matchings += [m for n in range(0, 9, 2) for m in enumerate_complete(n)]
     matchings += [
@@ -239,4 +241,8 @@ def test_trusted_results_equal_their_validated_rebuilds():
     for pm in paired:
         rebuilt = PairedMatching(pm.n, pm.m, pm.black, pm.green)
         assert rebuilt == pm and repr(rebuilt) == repr(pm), pm
-    assert (len(matchings), len(paired)) == (1518, 34890)
+    tableaux = [t for length in range(0, 11, 2) for t in enumerate_tableaux(length)]
+    for t in tableaux:
+        rebuilt = OscillatingTableau(t.shapes)
+        assert rebuilt == t and repr(rebuilt) == repr(t), t
+    assert (len(matchings), len(paired), len(tableaux)) == (1518, 34890, 1070)

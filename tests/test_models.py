@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from math import comb, prod
 
 import pytest
@@ -203,6 +204,19 @@ def test_tables_grow_the_same_in_any_order(cold_tables, monkeypatch, family):
         monkeypatch.setattr(models, name, models._new_table())
     assert shuffled == {n: family(n) for n in sorted(degrees)}
     assert shuffled[-1] == Poly.zero()
+
+
+def test_tables_keep_two_rows(cold_tables):
+    # Each table keeps the rows of its last two degrees and the Poly of each
+    # degree asked for, not the rows of every degree it has walked past.
+    tracemalloc.start()
+    try:
+        for family in (associated_hermite, usual_hermite, chebyshev_u):
+            family(150)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4_000_000, held
 
 
 # b(k) of P_k = x P_{k-1} - b(k) P_{k-2} for each family, as a Poly.
