@@ -48,11 +48,11 @@ from .verification import run_all
 # interpreters, against a budget of 20 s and 500 MB.  The `poly` generators
 # that do not enumerate walk the three-term recurrence forward on int rows,
 # keeping two.  At 450, `chebyshev` and `hermite` take 0.3 s; `recurrence`,
-# `chebyshev-limit` and `basis` 2.4-4.8 s, and `recurrence --shifted` 14-22 s
-# (shift_c is Fraction arithmetic, near the budget); all peak at 40-81 MB.
+# `chebyshev-limit` and `basis` 2.4-4.8 s, and `recurrence --shifted` 3.9-4.6 s
+# (shift_c is a binomial transform on int rows); all peak at 40-81 MB.
 # `linearize` and `mixed` cost about the 4.5th power of n + m, so their total
-# stops where the worst split fits in the budget (`linearize 70 70`: 10.5 s;
-# `mixed 60 80`: 7.4 s).  moment(k) enumerates Dyck paths (`moments --upto
+# stops where the worst split fits in the budget (`linearize 70 70`: 9.5-13.2 s;
+# `mixed 60 80`: 6.9-9.3 s).  moment(k) enumerates Dyck paths (`moments --upto
 # 20` and `orthogonality 10 10`: 11.4-11.5 s), and `conjecture` needs
 # moment(sum_max) (`--sum-max 20`: 14.5-18.1 s).  `gf` sums block matchings
 # by a recurrence that drops histories unable to close in time (80 blocks
@@ -75,7 +75,7 @@ _MAX_BIJECTION_EDGES = 300
 GENERATORS = {
     "recurrence": (associated_hermite, _MAX_RECURRENCE_DEGREE),
     "matchings": (associated_hermite_matchings, 100),  # 9.8-11.3 s
-    "marker-edge": (marker_edge_model, 300),  # 6.2 s; 11.7-11.9 s --shifted
+    "marker-edge": (marker_edge_model, 300),  # 5.0-7.6 s; 5.7-8.1 s --shifted
     "basis": (associated_in_hermite_basis, _MAX_RECURRENCE_DEGREE),
     "hermite": (usual_hermite, _MAX_RECURRENCE_DEGREE),
     "chebyshev": (chebyshev_u, _MAX_RECURRENCE_DEGREE),

@@ -12,12 +12,11 @@ longer product against a weighted inhomogeneous-matching count, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ._history import _histories
-from .matchings import Blocks, WeightScheme
+from .matchings import Blocks, WeightScheme, _Record
 from .models import associated_hermite, usual_hermite
 from .moments import apply_functional
 from .polynomials import (
@@ -157,8 +156,7 @@ def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:
     return _histories(Blocks(sizes).sizes, scheme)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     sizes: tuple[int, ...]
     match: bool
     lhs: Poly

@@ -14,10 +14,9 @@ of a distinguished edge through the crossings it is involved in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .matchings import Edge, Matching, _relation_masks, is_connected, nonnested_edges
+from .matchings import Edge, Matching, _Record, _relation_masks, is_connected, nonnested_edges
 from .moments import cycle_count
 from .polynomials import Poly
 
@@ -39,8 +38,7 @@ def _discovery_order(
     return order
 
 
-@dataclass(frozen=True)
-class RootedMap:
+class RootedMap(_Record):
     """A connected map on darts 0..2E-1; root is None only when E = 0."""
 
     rotation: tuple[int, ...]

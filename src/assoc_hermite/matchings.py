@@ -14,15 +14,16 @@ model in the package:
   weight and edge statistic reads them, the weights of coloured matchings
   through a colour mask; `edge_stats` gathers one edge's into a record.
 
-Enumerators build their results through `_trusted`, without the public
-constructors' validation.
+The package's records derive from `_Record`: immutable, and compared,
+hashed and printed by their fields.  Enumerators build them through
+`_trusted`, without the public constructors' validation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Container, Iterator, Sequence
 
 from .polynomials import Poly
@@ -33,15 +34,56 @@ DEFAULT_CAP = 16
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields as given,
-    without running __post_init__; only for values valid by construction."""
+    """An instance of the record class cls holding fields as given, without
+    running __post_init__; only for values valid by construction."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class Matching:
+class _Record:
+    """Base of the package's records, which behave as frozen dataclasses.
+    A subclass's fields are its own annotations, in order; a class attribute
+    gives a default.  __init__ binds them, then runs __post_init__.  An
+    instance's __dict__ holds exactly its fields, which equality compares
+    within one class; hash and repr read the field tuple.  Fields are frozen."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__annotations__)
+        values = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+        form = cls.__qualname__ + "(" + ", ".join(f"{name}=%r" for name in names) + ")"
+        cls.__hash__ = lambda self: hash(values(self))
+        cls.__repr__ = lambda self: form % values(self)
+        cls._fields = names
+        cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        fields = dict(zip(names, args))
+        if kwargs or len(args) != len(names):
+            fields = {**self._defaults, **fields, **kwargs}
+            bad = len(args) > len(names) or kwargs.keys() & names[: len(args)]
+            if bad or fields.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Matching(_Record):
     """A partial matching on {1, ..., n}; edges are stored sorted."""
 
     n: int
@@ -90,8 +132,7 @@ class Matching:
         return None
 
 
-@dataclass(frozen=True)
-class EdgeStats:
+class EdgeStats(_Record):
     is_nested_by_other: bool
     has_left_crossing: bool
     has_right_crossing: bool
@@ -255,8 +296,7 @@ def enumerate_incomplete(n: int) -> Iterator[Matching]:
         yield _trusted(Matching, n=n, edges=edges)
 
 
-@dataclass(frozen=True)
-class Blocks:
+class Blocks(_Record):
     """Consecutive blocks partitioning {1, ..., total}; sizes in given order."""
 
     sizes: tuple[int, ...]

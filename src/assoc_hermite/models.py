@@ -14,7 +14,6 @@ they replace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -23,6 +22,7 @@ from .matchings import (
     Blocks,
     Edge,
     Matching,
+    _Record,
     _check_cap,
     _pairings,
     _special_mask,
@@ -210,8 +210,7 @@ def chebyshev_limit(n: int) -> Poly:
 # ----- complete matchings whose plain edges are anchored by special edges -----
 
 
-@dataclass(frozen=True)
-class AnchoredConfig:
+class AnchoredConfig(_Record):
     """A complete matching with its forced set of weight -c (special) edges.
 
     Special edges are those that nest no edge and have no left crossing; all

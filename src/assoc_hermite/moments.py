@@ -16,7 +16,6 @@ both recurrences against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterator
@@ -25,6 +24,7 @@ from ._history import _check_rows, _histories
 from .matchings import (
     Edge,
     WeightScheme,
+    _Record,
     _relation_masks,
     _trusted,
     enumerate_complete,
@@ -109,8 +109,7 @@ def inner_product(n: int, m: int) -> Poly:
 # ----- paired matchings -----
 
 
-@dataclass(frozen=True)
-class PairedMatching:
+class PairedMatching(_Record):
     """A complete matching on [n] + [m] with black and green edges.
 
     Vertices 1..n form the left row and n+1..n+m the right row.  Black

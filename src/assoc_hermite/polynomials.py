@@ -26,7 +26,7 @@ polynomial and never mutates its operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, lcm
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -198,13 +198,22 @@ class Poly:
         return total
 
     def shift_c(self) -> "Poly":
-        """Substitute c -> c + 1, re-expanding each power binomially."""
-        out: dict[Key, Fraction] = {}
+        """Substitute c -> c + 1 on int rows: scaled to their common
+        denominator, each x degree's coefficients in c are shifted by repeated
+        additions (the binomial transform), then divided back."""
+        den = lcm(*(q.denominator for q in self.terms.values()))
+        rows: dict[int, list[int]] = {}
         for (xd, cd), q in self.terms.items():
-            for j in range(cd + 1):
-                key = (xd, j)
-                out[key] = out.get(key, 0) + q * comb(cd, j)
-        return Poly._raw(out)
+            row = rows.setdefault(xd, [])
+            row.extend([0] * (cd + 1 - len(row)))
+            row[cd] = q.numerator * (den // q.denominator)
+        for row in rows.values():
+            for i in range(len(row) - 1):
+                for j in range(len(row) - 2, i - 1, -1):
+                    row[j] += row[j + 1]
+        return Poly._raw(
+            {(xd, cd): Fraction(q, den) for xd, row in rows.items() for cd, q in enumerate(row)}
+        )
 
     # ----- encoding -----
 

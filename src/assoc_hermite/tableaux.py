@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .matchings import Matching, _trusted, enumerate_complete
+from .matchings import Matching, _Record, _trusted, enumerate_complete
 from .polynomials import Poly
 
 Partition = tuple[int, ...]
@@ -41,8 +40,7 @@ def _step(prev: Partition, cur: Partition) -> tuple[int, int]:
     return 0, -1
 
 
-@dataclass(frozen=True)
-class OscillatingTableau:
+class OscillatingTableau(_Record):
     """A sequence of partitions changing by one box, empty to empty."""
 
     shapes: tuple[Partition, ...]

@@ -23,7 +23,6 @@ import sys
 import threading
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable
@@ -53,6 +52,7 @@ from .maps import (
 from .matchings import (
     Matching,
     WeightScheme,
+    _Record,
     edge_stats,
     enumerate_complete,
     is_connected,
@@ -100,8 +100,7 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(_Record):
     case: str
     expected: str
     actual: str
@@ -110,15 +109,15 @@ class Failure:
         return {"case": self.case, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass
 class RunReport:
     """Outcome of one verification suite, which records each case into it."""
 
-    suite: str
-    cases: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    seconds: float = 0.0
-    start: float = 0.0
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = 0
+        self.failures: list[Failure] = []
+        self.seconds = 0.0
+        self.start = 0.0
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,5 @@
 """Every name a library or test module imports is used somewhere in that
-module.
+module, and the CLI imports no module it does not need.
 
 The package's `__init__.py` imports names only to re-export them, so it is
 not checked.  A name used only in an annotation counts as used, also when
@@ -7,6 +7,9 @@ the annotation is a string.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,17 @@ def test_no_unused_imports(path):
     used = referenced_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_imports_no_dataclasses_or_inspect():
+    """Every CLI call pays the package's import; the records are built
+    without dataclasses, which would also load inspect."""
+    code = (
+        "import sys, assoc_hermite.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
