@@ -13,8 +13,9 @@ where a state goes at the next vertex and what the step weighs.  Blocks
 and rows add a boundary rule, which `_regroup` applies between them.
 
 - `_histories` sums complete matchings on consecutive blocks with no arc
-  inside a block, under every WeightScheme, so the moments on unit blocks;
-  a backward bound, `need`, drops the states that cannot close in time.
+  inside a block, under every WeightScheme (a mirrored one as its image on
+  the reversed sizes), so the moments on unit blocks; a backward bound,
+  `need`, drops the states that cannot close in time.
 - `_paired_rows` sums the signed weights of paired matchings on consecutive
   rows, black arcs staying inside one row.
 - `_partial_matchings` and `_marker_edge` sum the two polynomial models of
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .matchings import WeightScheme
+from .matchings import _MIRROR, WeightScheme
 from .polynomials import Poly, _add_scaled
 
 _States = dict[tuple[int, ...], list[int]]
@@ -74,9 +75,6 @@ _CLOSING_WEIGHTS = {
         -(closable - max(r - k, 0)), -max(r - k, 0)
     ),
 }
-# The schemes whose closing weight reads r; the others keep r at 0, so
-# states that differ only in r merge.
-_READS_R = {WeightScheme.POLY_RIGHTMOST}
 
 
 def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
@@ -90,14 +88,12 @@ def _histories(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
     vertex counted back from the end, but falls by one, down to 0, over each
     block's last room vertices; in the last block every vertex closes.
     """
-    if scheme is WeightScheme.MOMENT_NO_LEFT_CROSSING:
-        return _histories(sizes[::-1], WeightScheme.MOMENT_NO_RIGHT_CROSSING)
-    if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
-        return _histories(sizes[::-1], WeightScheme.POLY_RIGHTMOST)
+    if scheme in _MIRROR:
+        return _histories(sizes[::-1], _MIRROR[scheme])
     if scheme not in _CLOSING_WEIGHTS:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     closing_weight = _CLOSING_WEIGHTS[scheme]
-    tracks_r = scheme in _READS_R
+    tracks_r = scheme is WeightScheme.POLY_RIGHTMOST  # the others keep r at 0
     need = [0]
     for size in reversed(sizes):
         room = len(need) - 1

@@ -41,7 +41,7 @@ from .tableaux import (
     tableau_to_matching,
     tableau_weight,
 )
-from .verification import run_all
+from .verification import LEVELS, run_all
 
 # Each command refuses sizes past its limit before doing any work.  Times at
 # the limit were taken on Python 3.11, a shared 2-core x86 host, fresh
@@ -59,10 +59,10 @@ from .verification import run_all
 # of 1 then one of 120: 0.2 s); at total 200 the worst found is `rightmost`
 # on 75-80 blocks of 1, one of 60-65, then 60 of 1 (15-19.7 s, close to the
 # budget), then 200 blocks of 1 (5.4-8.6 s); the moment schemes stay near 1 s.
-# `quadruples` translates every rooted map (8,162 at 5 edges, 2.4 s).  The
+# `quadruples` translates every rooted map (8,162 at 5 edges, 1.1 s).  The
 # other bijections take one object of at most 300 edges; the worst is
-# `tailswap` on the all-crossing matching (i, i+300), cubic through its two
-# crossing-count assertions per swap (6.2 s).  `poly matchings` and
+# `tailswap` on the all-crossing matching (i, i+300), cubic through the
+# crossing count it checks after each swap (2.1-2.8 s).  `poly matchings` and
 # `marker-edge` sum by history recurrences; their times are beside them.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bijection)
 
     p = sub.add_parser("verify-all", parents=[fmt], help="run the verification suites")
-    p.add_argument("--level", choices=("desk", "extended"), default="desk")
+    p.add_argument("--level", choices=LEVELS, default="desk")
     p.add_argument(
         "--timings", action="store_true",
         help="also write each suite's report with its seconds to standard error",

@@ -262,6 +262,7 @@ def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:
     marker = m.edge_of(1)
     edges = [e for e in m.edges if e != marker]
     tags = set(connected_matching_tags(m))
+    crossings = _crossing_count(edges + [marker])
     while True:
         f = marker[1]
         crossers = [e for e in edges if e[0] < f < e[1]]
@@ -269,14 +270,14 @@ def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:
             break
         chosen = min(crossers)
         assert chosen in tags, f"untagged crossing edge {chosen!r}"
-        before = _crossing_count(edges + [marker])
         a, b = chosen
         edges.remove(chosen)
         tags.remove(chosen)
         edges.append((a, f))
         tags.add((a, f))
         marker = (1, b)
-        assert _crossing_count(edges + [marker]) < before, "crossings did not drop"
+        before, crossings = crossings, _crossing_count(edges + [marker])
+        assert crossings < before, "crossings did not drop"
     assert marker == (1, m.n), "marker did not reach the last vertex"
     return (
         Matching(m.n - 2, tuple((a - 1, b - 1) for a, b in edges)),

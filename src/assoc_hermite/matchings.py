@@ -14,6 +14,9 @@ model in the package:
   weight and edge statistic reads them, the weights of coloured matchings
   through a colour mask; `edge_stats` gathers one edge's into a record.
 
+`weight` weighs a matching under a mirrored scheme, no-left-crossing or
+reversed-rightmost, as its `_MIRROR` image weighs the reversed matching.
+
 The package's records derive from `_Record`: immutable, and compared,
 hashed and printed by their fields.  Enumerators build them through
 `_trusted`, without the public constructors' validation.
@@ -163,6 +166,10 @@ MOMENT_SCHEMES = (
     WeightScheme.MOMENT_NO_RIGHT_CROSSING,
     WeightScheme.MOMENT_NO_LEFT_CROSSING,
 )
+_MIRROR = {
+    WeightScheme.MOMENT_NO_LEFT_CROSSING: WeightScheme.MOMENT_NO_RIGHT_CROSSING,
+    WeightScheme.POLY_REVERSED_RIGHTMOST: WeightScheme.POLY_RIGHTMOST,
+}
 
 
 def _relation_masks(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[int]]:
@@ -229,8 +236,8 @@ def nonnested_edges(m: Matching) -> tuple[Edge, ...]:
 
 def weight(m: Matching, scheme: WeightScheme) -> Poly:
     """The weight of one matching; always a signed monomial in x and c."""
-    if scheme is WeightScheme.POLY_REVERSED_RIGHTMOST:
-        return weight(reverse(m), WeightScheme.POLY_RIGHTMOST)
+    if scheme in _MIRROR:
+        return weight(reverse(m), _MIRROR[scheme])
     if scheme is WeightScheme.POLY_RIGHTMOST:
         sign = -1 if len(m.edges) % 2 else 1
         special = _special_mask(m.edges)[0].bit_count()
@@ -240,12 +247,8 @@ def weight(m: Matching, scheme: WeightScheme) -> Poly:
     if not m.is_complete():
         raise ValueError("moment weightings apply to complete matchings only")
     if scheme is WeightScheme.MOMENT_NONNESTED:
-        cd = len(nonnested_edges(m))
-    elif scheme is WeightScheme.MOMENT_NO_RIGHT_CROSSING:
-        cd = _relation_masks(m.edges)[2].count(0)
-    else:
-        cd = _relation_masks(m.edges)[1].count(0)
-    return Poly.monomial(0, cd)
+        return Poly.monomial(0, len(nonnested_edges(m)))
+    return Poly.monomial(0, _relation_masks(m.edges)[2].count(0))
 
 
 def _check_cap(n: int) -> None:

@@ -185,13 +185,11 @@ def chebyshev_rescaled_terms(n: int) -> dict[tuple[int, int], Fraction]:
     The substitution sends x^k c^m to x^k c^(m + (k - n)/2); the parity of
     H_n makes every shifted exponent an integer, and none is positive.
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for (xd, cd), q in associated_hermite(n).terms.items():
+    terms = associated_hermite(n).terms
+    for xd, cd in terms:
         if (xd - n) % 2:
             raise AssertionError(f"parity violation in H_{n}: term ({xd},{cd})")
-        key = (xd, cd + (xd - n) // 2)
-        out[key] = out.get(key, Fraction(0)) + q
-    return {key: q for key, q in out.items() if q}
+    return {(xd, cd + (xd - n) // 2): q for (xd, cd), q in terms.items()}
 
 
 def chebyshev_limit(n: int) -> Poly:

@@ -81,6 +81,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly._raw, (self.terms,)
+
     # ----- constructors -----
 
     @classmethod

@@ -119,8 +119,6 @@ def _delete_value(rows: list[list[int]], value: int) -> None:
     """
     for i, row in enumerate(rows):
         if row and row[-1] == value:
-            if i + 1 < len(rows) and len(rows[i + 1]) >= len(row):
-                continue
             row.pop()
             if not row:
                 rows.pop(i)

@@ -413,6 +413,27 @@ def test_bijection_map_matching_bad_json(capsys, value, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quadruples", "x"], "quadruples needs an edge count, got 'x'"),
+        (["quadruples", "--", "-1"], "edge count must be nonnegative"),
+        (["tailswap", "(1,3)"], "needs a complete matching"),
+        (["tailswap", "(1,2)(3,4)"], "needs a connected matching"),
+        (["tailswap", "--", ""], "needs at least one edge"),
+        (["tailswap-inv", "(1,3)"], "needs a complete matching"),
+        (["tableau", "(1,3)"], "needs a complete matching"),
+        (["tableau-inv", "--", "-;12;-"], "(1, 2) is not a partition"),
+        (
+            ["map-matching", '{"rotation":[0,1],"pairing":[1,0,3,2],"root":0}'],
+            "rotation and pairing must act on the same darts",
+        ),
+    ],
+)
+def test_bijection_refuses_objects_outside_its_domain(capsys, argv, message):
+    assert run(capsys, "bijection", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_bijection_quadruples(capsys):
     rc, out, _ = run(capsys, "bijection", "quadruples", "1")
     docs = json.loads(out)

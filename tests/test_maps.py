@@ -205,4 +205,5 @@ def test_crossing_count_matches_the_scan_on_the_suite_inputs(monkeypatch):
 
     monkeypatch.setattr(maps, "_crossing_count", checked)
     assert suite_bijections().ok
-    assert len(counts) == 4662
+    # One count per tail-swap state: each call's start and each swap's result.
+    assert len(counts) == 3919

@@ -80,10 +80,15 @@ def test_reverse_is_an_involution(m):
 
 @given(complete_matchings)
 def test_reverse_swaps_crossing_sides(m):
+    # weight reads MOMENT_NO_LEFT_CROSSING off the reversed matching, so the
+    # mirror is checked on the edge relations themselves.
     r = reverse(m)
-    assert weight(m, WeightScheme.MOMENT_NO_LEFT_CROSSING) == weight(
-        r, WeightScheme.MOMENT_NO_RIGHT_CROSSING
-    )
+    for a, b in m.edges:
+        stats = edge_stats(m, (a, b))
+        mirrored = edge_stats(r, (m.n + 1 - b, m.n + 1 - a))
+        assert (stats.has_left_crossing, stats.has_right_crossing) == (
+            mirrored.has_right_crossing, mirrored.has_left_crossing
+        )
 
 
 def test_edge_stats_on_a_small_instance():

@@ -3,7 +3,9 @@ hashed, printed and pickled as a frozen dataclass would be.  Verification
 case names and failure records print these reprs, so they are pinned
 literally."""
 
+import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,7 @@ from assoc_hermite.maps import RootedMap
 from assoc_hermite.matchings import Blocks, EdgeStats, Matching
 from assoc_hermite.models import AnchoredConfig
 from assoc_hermite.moments import PairedMatching
-from assoc_hermite.polynomials import C
+from assoc_hermite.polynomials import C, Poly
 from assoc_hermite.tableaux import OscillatingTableau
 from assoc_hermite.verification import Failure, RunReport
 
@@ -123,3 +125,15 @@ def test_pickle_round_trips():
     assert not copy.ok
     paired = SAMPLES[3][0]
     assert pickle.loads(pickle.dumps(paired)) == paired
+
+
+def test_poly_and_records_holding_it_survive_pickle_and_copy():
+    poly = Poly({(2, 1): Fraction(-3, 7), (0, 0): 1})
+    report = ConjectureReport((1, 2), False, poly, C)
+    for obj in (poly, report):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(clone) is type(obj)
+            assert clone == obj
+            assert repr(clone) == repr(obj)
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(poly)).terms = {}
