@@ -239,7 +239,8 @@ def connected_matching_weight(m: Matching) -> Poly:
 
 
 def _crossing_count(edges: list[Edge]) -> int:
-    return sum(mask.bit_count() for mask in _relation_masks(sorted(edges))[2])
+    # Each state of a swap is new, so the sweep bypasses the masks' cache.
+    return sum(mask.bit_count() for mask in _relation_masks.__wrapped__(sorted(edges))[2])
 
 
 def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:

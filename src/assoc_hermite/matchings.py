@@ -13,6 +13,8 @@ model in the package:
   each edge nests and of those crossing it from the left or right.  Every
   weight and edge statistic reads them, the weights of coloured matchings
   through a colour mask; `edge_stats` gathers one edge's into a record.
+  It keeps its last few results, since consecutive calls mostly share a
+  matching.
 
 `weight` weighs a matching under a mirrored scheme, no-left-crossing or
 reversed-rightmost, as its `_MIRROR` image weighs the reversed matching.
@@ -26,12 +28,14 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Container, Iterator, Sequence
 
 from .polynomials import Poly
 
 Edge = tuple[int, int]
+Masks = tuple[int, ...]  # one bitmask over edge indices per edge
 
 DEFAULT_CAP = 16
 
@@ -172,13 +176,22 @@ _MIRROR = {
 }
 
 
-def _relation_masks(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[int]]:
+@lru_cache(maxsize=16)
+def _relation_masks(edges: tuple[Edge, ...]) -> tuple[Masks, Masks, Masks]:
     """Bitmasks over edge indices: the edges that edge i nests, and those
     crossing it from the left and from the right.
 
     The edges are disjoint and sorted by left endpoint, so a later edge that
     starts beyond the right end of an earlier one is disjoint from it, and
-    so is every edge after that."""
+    so is every edge after that.
+
+    The last 16 results are kept, keyed by the edge tuple, as tuples that
+    callers cannot change.  Consecutive calls mostly share a matching: the
+    colourings of one paired matching, or a weight and the edge statistics
+    of one matching.  Enumerations that move on to a new matching every
+    call only miss, so the bound is small: a 300-edge matching and its
+    masks take about 80 kB.  A caller whose every call is new, such as the
+    states of a tail swap, calls the sweep itself, `__wrapped__`."""
     k = len(edges)
     nests = [0] * k
     left = [0] * k
@@ -193,10 +206,10 @@ def _relation_masks(edges: Sequence[Edge]) -> tuple[list[int], list[int], list[i
             else:
                 right[i] |= 1 << j
                 left[j] |= 1 << i
-    return nests, left, right
+    return tuple(nests), tuple(left), tuple(right)
 
 
-def _special_mask(edges: Sequence[Edge]) -> tuple[int, list[int]]:
+def _special_mask(edges: tuple[Edge, ...]) -> tuple[int, Masks]:
     """Bitmask over edge indices of the edges that nest no edge or fixed
     point and have no left crossing, with each edge's left-crossing mask.
 

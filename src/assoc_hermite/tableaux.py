@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .matchings import Matching, _Record, _trusted, enumerate_complete
 from .polynomials import Poly
@@ -152,18 +152,35 @@ def matching_to_tableau(m: Matching) -> OscillatingTableau:
     return _trusted(OscillatingTableau, shapes=shapes)
 
 
-def _reverse_insert(rows: list[list[int]], row_index: int) -> int:
-    """Undo a row insertion whose final box is the corner of row_index."""
-    v = rows[row_index].pop()
-    if not rows[row_index]:
+def _reverse_insert(rows: list[list[int]], row_index: int) -> tuple[int, int]:
+    """Undo a row insertion whose final box is the corner of row_index;
+    return the value ejected from row 0 and the column it left."""
+    row = rows[row_index]
+    v = row.pop()
+    col = len(row)
+    if not row:
         rows.pop(row_index)
     for i in range(row_index - 1, -1, -1):
-        pos = bisect_left(rows[i], v) - 1
-        rows[i][pos], v = v, rows[i][pos]
-    return v
+        col = bisect_left(rows[i], v) - 1
+        rows[i][col], v = v, rows[i][col]
+    return v, col
 
 
-def _walk_back(t: OscillatingTableau) -> Iterator[tuple[int, int, list[list[int]]]]:
+def _walk_step(prev: Partition, cur: Partition) -> tuple[int, int]:
+    """_step for a step known to move one box.  Compared as tuples, the
+    shape with the box is the bigger one, and the box's row is the first
+    in which the two differ."""
+    row = 0
+    for a, b in zip(prev, cur):
+        if a != b:
+            break
+        row += 1
+    return (1 if cur > prev else -1), row
+
+
+def _walk_back(
+    t: OscillatingTableau,
+) -> Iterator[tuple[int, int, tuple[int, int], list[list[int]]]]:
     """Run the walk backward, from the final empty shape toward the start.
 
     A shrink step of the forward walk looks like growth: it reintroduces
@@ -171,23 +188,27 @@ def _walk_back(t: OscillatingTableau) -> Iterator[tuple[int, int, list[list[int]
     a right endpoint.  A forward growth step looks like a shrink: reverse
     insertion from its corner ejects the label, for a left endpoint.  For
     each vertex v from the last this yields v, the label _edge_labels gives
-    its edge, and the filling before v, forward_fillings(m)[v - 1]: one
-    list of rows, changed in place by the next step.
+    its edge, the box (row, column) where the label enters the filling at a
+    right endpoint or leaves it at a left one, and the filling before v,
+    forward_fillings(m)[v - 1]: one list of rows, changed in place by the
+    next step.
     """
     shapes = t.shapes
     rows: list[list[int]] = []
     next_label = 1
     for v in range(t.length, 0, -1):
-        direction, row_index = _step(shapes[v - 1], shapes[v])
+        direction, row_index = _walk_step(shapes[v - 1], shapes[v])
         if direction == -1:
-            while len(rows) <= row_index:
+            if row_index == len(rows):
                 rows.append([])
-            rows[row_index].append(next_label)
-            label = next_label
+            row = rows[row_index]
+            row.append(next_label)
+            label, box = next_label, (row_index, len(row) - 1)
             next_label += 1
         else:
-            label = _reverse_insert(rows, row_index)
-        yield v, label, rows
+            label, col = _reverse_insert(rows, row_index)
+            box = (0, col)
+        yield v, label, box, rows
 
 
 def tableau_to_matching(t: OscillatingTableau) -> Matching:
@@ -196,7 +217,7 @@ def tableau_to_matching(t: OscillatingTableau) -> Matching:
     one."""
     right_end: dict[int, int] = {}
     edges = []
-    for v, label, _ in _walk_back(t):
+    for v, label, _, _ in _walk_back(t):
         if label in right_end:
             edges.append((v, right_end.pop(label)))
         else:
@@ -206,14 +227,23 @@ def tableau_to_matching(t: OscillatingTableau) -> Matching:
     return Matching(t.length, tuple(edges))
 
 
-def _label_depths(fillings: Iterable[Sequence[Sequence[int]]]) -> dict[int, tuple[int, int]]:
-    """The deepest row and deepest column, from 0, that each label reaches."""
+def _label_depths(t: OscillatingTableau) -> dict[int, tuple[int, int]]:
+    """The deepest row and deepest column, from 0, that each label reaches
+    in the fillings of the walk.
+
+    Reverse insertion moves a label up one row and weakly right: the entry
+    above it is smaller (columns increase), so the largest entry smaller
+    than it in the row above sits in that column or further right.  Nothing
+    else moves a label.  So along the backward walk a label's row index only
+    falls and its column only grows: its deepest row is where it enters the
+    filling, and its deepest column where it leaves."""
+    entry_row: dict[int, int] = {}
     depths: dict[int, tuple[int, int]] = {}
-    for filling in fillings:
-        for r, row in enumerate(filling):
-            for col, label in enumerate(row):
-                deep_row, deep_col = depths.get(label, (0, 0))
-                depths[label] = (max(deep_row, r), max(deep_col, col))
+    for _, label, (row, col), _ in _walk_back(t):
+        if label in entry_row:
+            depths[label] = (entry_row.pop(label), col)
+        else:
+            entry_row[label] = row
     return depths
 
 
@@ -231,10 +261,8 @@ def tableau_weight(t: OscillatingTableau, statistic: str = "column") -> Poly:
     if statistic not in ("column", "row"):
         raise ValueError(f"unknown statistic {statistic!r}")
     axis = 1 if statistic == "column" else 0
-    # The backward walk passes through every forward filling, so it reads
-    # each label's depths without building the matching.
-    depths = _label_depths(rows for _, _, rows in _walk_back(t))
-    return Poly.monomial(0, sum(1 for depth in depths.values() if depth[axis] == 0))
+    depths = _label_depths(t).values()
+    return Poly.monomial(0, sum(1 for depth in depths if depth[axis] == 0))
 
 
 def enumerate_tableaux(length: int) -> Iterator[OscillatingTableau]:

@@ -8,7 +8,9 @@ sums (`_history._histories`), the paired-matching sums
 (`_history._paired_rows`), and the partial-matching and marker-edge models
 of the polynomials (`_history._partial_matchings` and
 `_history._marker_edge`).  Each suite returns a RunReport that lists how
-many cases ran and which failed.  `run_all` runs a level's suites on a
+many cases ran and which failed.  A case's name is built only when the
+case fails, from a format string and its arguments or from a callable, so
+passing cases cost no formatting.  `run_all` runs a level's suites on a
 pool of forked workers, one per available CPU, longest first.  The desk
 level finishes in seconds; the extended level adds the four-edge
 rooted-map census.
@@ -100,6 +102,12 @@ from .tableaux import (
 )
 
 
+def _case_name(case: str | Callable[[], str], args: tuple) -> str:
+    if args:
+        return case.format(*args)
+    return case() if callable(case) else case
+
+
 class Failure(_Record):
     case: str
     expected: str
@@ -123,13 +131,19 @@ class RunReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, case: str, actual, expected) -> None:
+    def check(self, case: str | Callable[[], str], actual, expected, *args) -> None:
+        """Count one case, failed when actual != expected.  Its name is
+        case.format(*args) when args are given, case() when case is
+        callable, and case itself otherwise, built only on failure."""
         self.cases += 1
         if actual != expected:
-            self.failures.append(Failure(case, str(expected), str(actual)))
+            self.failures.append(Failure(_case_name(case, args), str(expected), str(actual)))
 
-    def ensure(self, case: str, condition: bool) -> None:
-        self.check(case, bool(condition), True)
+    def ensure(self, case: str | Callable[[], str], condition: bool, *args) -> None:
+        """Count one case, failed when condition is false; named as in check."""
+        self.cases += 1
+        if not condition:
+            self.failures.append(Failure(_case_name(case, args), "True", "False"))
 
     def to_json_obj(self, with_timing: bool = False) -> dict:
         obj = {
@@ -187,8 +201,8 @@ def suite_moment_tables(rec: RunReport) -> None:
     for n in range(order + 1):
         mu = moment(n)
         if n % 2:
-            rec.check(f"mu_{n} vanishes", mu, Poly.zero())
-            rec.check(f"series coefficient t^{n}", plain[n], Poly.zero())
+            rec.check("mu_{} vanishes", mu, Poly.zero(), n)
+            rec.check("series coefficient t^{}", plain[n], Poly.zero(), n)
             continue
         for scheme in (
             WeightScheme.MOMENT_NONNESTED,
@@ -196,15 +210,17 @@ def suite_moment_tables(rec: RunReport) -> None:
             WeightScheme.MOMENT_NO_LEFT_CROSSING,
         ):
             rec.check(
-                f"mu_{n} via {scheme.value} matchings",
+                "mu_{} via {} matchings",
                 moment_via_matchings(n, scheme),
                 mu,
+                n, scheme.value,
             )
-        rec.check(f"mu_{n} via continued fraction", plain[n], mu)
+        rec.check("mu_{} via continued fraction", plain[n], mu, n)
         rec.check(
-            f"mu_{n} shifted via continued fraction",
+            "mu_{} shifted via continued fraction",
             shifted[n],
             mu.shift_c(),
+            n,
         )
 
 
@@ -215,12 +231,12 @@ def suite_orthogonality(rec: RunReport) -> None:
     for n in range(9):
         for m in range(9):
             expected = rising_factorial(C, n) if n == m else Poly.zero()
-            rec.check(f"inner product ({n},{m})", inner_product(n, m), expected)
+            rec.check("inner product ({},{})", inner_product(n, m), expected, n, m)
     for n in range(11):
         for m in range(11 - n):
             total = _paired_rows((n, m))
             expected = rising_factorial(C, n) if n == m else Poly.zero()
-            rec.check(f"paired matching sum ({n},{m})", total, expected)
+            rec.check("paired matching sum ({},{})", total, expected, n, m)
 
 
 @_suite("involution")
@@ -244,34 +260,36 @@ def suite_involution(rec: RunReport) -> None:
             fixed_perms = []
             for pm in paired:
                 if pm not in images:
-                    rec.ensure(f"fixed point only on diagonal: {pm}", n == m)
-                    rec.check(f"fixed point all green: {pm}", pm.black, ())
+                    rec.ensure("fixed point only on diagonal: {}", n == m, pm)
+                    rec.check("fixed point all green: {}", pm.black, (), pm)
                     pi = paired_to_permutation(pm)
                     rec.check(
-                        f"fixed point weight: {pm}",
+                        "fixed point weight: {}",
                         paired_weight(pm),
                         Poly.monomial(0, left_to_right_maxima(pi)),
+                        pm,
                     )
                     fixed_perms.append(pi)
                     continue
                 image = images[pm]
-                rec.ensure(f"involution moves {pm}", image != pm)
-                rec.check(f"involution order two on {pm}", images.get(image), pm)
+                rec.ensure("involution moves {}", image != pm, pm)
+                rec.check("involution order two on {}", images.get(image), pm, pm)
                 if n >= m:
-                    rec.check(f"involution negates weight of {pm}",
-                              weights.get(image), -weights[pm])
+                    rec.check("involution negates weight of {}",
+                              weights.get(image), -weights[pm], pm)
             if n == m:
                 rec.check(
-                    f"fixed points of ({n},{n}) are the {n}! permutations",
+                    "fixed points of ({},{}) are the {}! permutations",
                     sorted(fixed_perms),
                     sorted(itertools.permutations(range(1, n + 1))),
+                    n, n, n,
                 )
     for n in range(7):
         perms = list(itertools.permutations(range(1, n + 1)))
         by_lrm = _gf(perms, lambda pi: Poly.monomial(0, left_to_right_maxima(pi)))
         by_cycles = _gf(perms, lambda pi: Poly.monomial(0, cycle_count(pi)))
-        rec.check(f"sum of c^lrm over S_{n}", by_lrm, rising_factorial(C, n))
-        rec.check(f"sum of c^cycles over S_{n}", by_cycles, rising_factorial(C, n))
+        rec.check("sum of c^lrm over S_{}", by_lrm, rising_factorial(C, n), n)
+        rec.check("sum of c^cycles over S_{}", by_cycles, rising_factorial(C, n), n)
 
     # Pinned witness for the n >= m restriction: with the single-vertex
     # block on the left, flipping (2,5) sends weight +c to -c^2.
@@ -291,8 +309,9 @@ def suite_linearization(rec: RunReport) -> None:
     for big_n in range(7):
         for big_m in range(7):
             rec.ensure(
-                f"linearization identity ({big_n},{big_m})",
+                "linearization identity ({},{})",
                 verify_linearization(big_n, big_m),
+                big_n, big_m,
             )
     coefficients = {
         (big_n, big_m, j): linearization_coefficient(big_n, big_m, j)
@@ -302,12 +321,12 @@ def suite_linearization(rec: RunReport) -> None:
     }
     for (big_n, big_m, j), p in coefficients.items():
         rec.ensure(
-            f"coefficient ({big_n},{big_m},{j}) is a nonnegative "
-            "integer polynomial in c",
+            "coefficient ({},{},{}) is a nonnegative integer polynomial in c",
             all(
                 xd == 0 and q.denominator == 1 and q >= 0
                 for (xd, cd), q in p.terms.items()
             ),
+            big_n, big_m, j,
         )
     for big_n in range(7):
         for big_m in range(7):
@@ -315,11 +334,12 @@ def suite_linearization(rec: RunReport) -> None:
                 p = coefficients[big_n, big_m, j]
                 for cv in range(1, 11):
                     rec.check(
-                        f"hypergeometric form ({big_n},{big_m},{j}) at c={cv}",
+                        "hypergeometric form ({},{},{}) at c={}",
                         linearization_coefficient_hypergeometric(
                             big_n, big_m, j, Fraction(cv)
                         ),
                         p.evaluate(c_value=cv),
+                        big_n, big_m, j, cv,
                     )
     for (big_n, big_m, j), p in coefficients.items():
         closed = (
@@ -327,7 +347,7 @@ def suite_linearization(rec: RunReport) -> None:
             * rising_factorial_value(big_m + 1 - j, j)
             / factorial(j)
         )
-        rec.check(f"coefficient ({big_n},{big_m},{j}) at c=1", p.evaluate(c_value=1), closed)
+        rec.check("coefficient ({},{},{}) at c=1", p.evaluate(c_value=1), closed, big_n, big_m, j)
     for big_n in range(9):
         for big_m in range(9 - big_n):
             for j in range(min(big_n, big_m) + 1):
@@ -336,9 +356,10 @@ def suite_linearization(rec: RunReport) -> None:
                     (big_n, big_m, rest), WeightScheme.MOMENT_NONNESTED
                 ).evaluate(c_value=1)
                 rec.check(
-                    f"three-block matchings ({big_n},{big_m},{rest})",
+                    "three-block matchings ({},{},{})",
                     count,
                     coefficients[big_n, big_m, j].evaluate(c_value=1) * factorial(rest),
+                    big_n, big_m, rest,
                 )
 
 
@@ -381,9 +402,10 @@ def suite_published_values(rec: RunReport) -> None:
     )
     for sizes in ((3, 3, 4), (4, 3, 3)):
         rec.check(
-            f"nonnested blocks {sizes}",
+            "nonnested blocks {}",
             inhomogeneous_gf(sizes, WeightScheme.MOMENT_NONNESTED),
             3 * C * (C + 1) * (C + 2) ** 2 * (C + 3),
+            sizes,
         )
 
 
@@ -393,12 +415,13 @@ def suite_mixed(rec: RunReport) -> None:
     valid whenever the first index is at least the second minus one."""
     for n in range(9):
         for m in range(n + 2):
-            rec.ensure(f"mixed identity ({n},{m})", verify_mixed(n, m))
+            rec.ensure("mixed identity ({},{})", verify_mixed(n, m), n, m)
             bound = min(m, (n + m) // 2)
             for k in (bound + 1, bound + 2):
                 rec.ensure(
-                    f"mixed term ({n},{m},{k}) beyond the range vanishes",
+                    "mixed term ({},{},{}) beyond the range vanishes",
                     mixed_coefficient(n, m, k).is_zero() or n + m - 2 * k < 0,
+                    n, m, k,
                 )
     rec.check("mixed residual (0,2)", mixed_residual(0, 2), Poly.one() - C)
     rec.ensure("mixed identity fails at (0,2)", not verify_mixed(0, 2))
@@ -413,42 +436,47 @@ def suite_polynomial_models(rec: RunReport) -> None:
     should."""
     for n in range(11):
         rec.check(
-            f"basis expansion degree {n}",
+            "basis expansion degree {}",
             associated_in_hermite_basis(n),
             associated_hermite(n).shift_c(),
+            n,
         )
         rec.check(
-            f"matchings model degree {n}",
+            "matchings model degree {}",
             associated_hermite_matchings(n),
             associated_hermite(n),
+            n,
         )
     for n in range(9):
         rec.check(
-            f"marker-edge model degree {n}",
+            "marker-edge model degree {}",
             marker_edge_model(n),
             associated_hermite(n).shift_c(),
+            n,
         )
     for k in range(5):
         sign = -1 if k % 2 else 1
         rec.check(
-            f"anchored configurations on {2 * k} vertices",
+            "anchored configurations on {} vertices",
             anchored_config_gf(k),
             sign * rising_factorial(C, k),
+            2 * k,
         )
         for cfg in enumerate_anchored_configs(k):
             rec.check(
-                f"insertion slots of {cfg.matching}",
+                "insertion slots of {}",
                 anchored_config_slots(cfg),
                 (k, 1),
+                cfg.matching,
             )
     for n in range(1, 7):
         expected = rising_factorial(C + 1, n - 1)
-        rec.check(f"two-row matchings on [{n}]+[{n}]", two_row_matching_gf(n), expected)
+        rec.check("two-row matchings on [{}]+[{}]", two_row_matching_gf(n), expected, n, n)
         total = _gf(
             itertools.permutations(range(1, n + 1)),
             lambda pi: Poly.monomial(0, left_to_right_maxima(pi) - 1),
         )
-        rec.check(f"sum of c^(lrm-1) over S_{n}", total, expected)
+        rec.check("sum of c^(lrm-1) over S_{}", total, expected, n)
 
 
 def _tableau_part(rec: RunReport) -> None:
@@ -467,15 +495,17 @@ def _tableau_part(rec: RunReport) -> None:
     # the true row distributions and the smallest matching that separates
     # the two weights.
     row_gfs = {}
+    tableau_of = {}
     for half in range(6):
         row_gf = Poly.zero()
         for m in enumerate_complete(2 * half):
-            t = matching_to_tableau(m)
-            rec.check(f"tableau round trip {m}", tableau_to_matching(t), m)
+            t = tableau_of[m] = matching_to_tableau(m)
+            rec.check("tableau round trip {}", tableau_to_matching(t), m, m)
             rec.check(
-                f"column statistic of {m}",
+                "column statistic of {}",
                 tableau_weight(t, "column"),
                 weight(m, WeightScheme.MOMENT_NONNESTED),
+                m,
             )
             row_gf = row_gf + tableau_weight(t, "row")
         row_gfs[half] = row_gf
@@ -486,11 +516,12 @@ def _tableau_part(rec: RunReport) -> None:
         (3, {(0, 3): 5, (0, 2): 8, (0, 1): 2}),
         (4, {(0, 4): 14, (0, 3): 47, (0, 2): 39, (0, 1): 5}),
     ):
-        rec.check(f"row statistic distribution, {2 * half} vertices",
-                  row_gfs[half], Poly(pinned))
+        rec.check("row statistic distribution, {} vertices",
+                  row_gfs[half], Poly(pinned), 2 * half)
     for half in (3, 4, 5):
-        rec.ensure(f"row statistic is not a moment weighting, {2 * half} vertices",
-                   row_gfs[half] != moment(2 * half))
+        rec.ensure("row statistic is not a moment weighting, {} vertices",
+                   row_gfs[half] != moment(2 * half),
+                   2 * half)
     split = Matching.from_text("(1,5)(2,4)(3,6)")
     t_split = matching_to_tableau(split)
     rec.check("separating matching, row weight",
@@ -503,10 +534,10 @@ def _tableau_part(rec: RunReport) -> None:
         expected_count = 1
         for odd in range(1, length, 2):
             expected_count *= odd
-        rec.check(f"tableaux of length {length}", len(tableaux), expected_count)
+        rec.check("tableaux of length {}", len(tableaux), expected_count, length)
         for t in tableaux:
             rec.check(
-                f"reverse round trip {t.to_text()}",
+                lambda: f"reverse round trip {t.to_text()}",
                 matching_to_tableau(tableau_to_matching(t)),
                 t,
             )
@@ -522,59 +553,65 @@ def _tableau_part(rec: RunReport) -> None:
                     ea, eb = edge_by_label[s]
                     if s < lab:
                         rec.ensure(
-                            f"label {s} nests label {lab} in {m}",
+                            "label {} nests label {} in {}",
                             ea < a and b < eb,
+                            s, lab, m,
                         )
                     else:
                         rec.ensure(
-                            f"label {s} crosses label {lab} from the left in {m}",
+                            "label {} crosses label {} from the left in {}",
                             ea < a < eb < b,
+                            s, lab, m,
                         )
-            depths = _label_depths(fillings)
+            depths = _label_depths(tableau_of[m])
             for lab in sorted(edge_by_label):
                 deep_row, deep_col = depths[lab]
                 stats = edge_stats(m, edge_by_label[lab])
                 rec.check(
-                    f"label {lab} leaves column one in {m}",
+                    "label {} leaves column one in {}",
                     deep_col > 0,
                     stats.is_nested_by_other,
+                    lab, m,
                 )
                 # Only one direction survives for rows: a bumped label was
                 # crossed by the bumping edge, but a crossed label need not
                 # be the one that gets bumped.
                 rec.ensure(
-                    f"label {lab} leaving row one implies a right crossing in {m}",
+                    "label {} leaving row one implies a right crossing in {}",
                     stats.has_right_crossing or not deep_row,
+                    lab, m,
                 )
 
 
 def _map_part(rec: RunReport) -> None:
     for e_count, expected_count in ((0, 1), (1, 2), (2, 10), (3, 74)):
         maps = list(enumerate_rooted_maps(e_count))
-        rec.check(f"rooted maps with {e_count} edges", len(maps), expected_count)
+        rec.check("rooted maps with {} edges", len(maps), expected_count, e_count)
         gf = Poly.zero()
         traversals = set()
         for rm in maps:
             gf = gf + rm.weight()
-            rec.check(f"canonical form is stable: {rm.to_json_obj()}", rm.canonical(), rm)
+            rec.check(lambda: f"canonical form is stable: {rm.to_json_obj()}", rm.canonical(), rm)
             cm = map_to_connected_matching(rm)
-            rec.ensure(f"traversal of {rm.to_json_obj()} is connected", is_connected(cm))
+            rec.ensure(lambda: f"traversal of {rm.to_json_obj()} is connected", is_connected(cm))
             rec.check(
-                f"traversal weight of {rm.to_json_obj()}",
+                lambda: f"traversal weight of {rm.to_json_obj()}",
                 connected_matching_weight(cm),
                 rm.weight(),
             )
             traversals.add(cm)
-        rec.check(f"distinct traversals with {e_count} edges", len(traversals), len(maps))
+        rec.check("distinct traversals with {} edges", len(traversals), len(maps), e_count)
         rec.check(
-            f"traversals cover the connected matchings on {2 * e_count + 2} vertices",
+            "traversals cover the connected matchings on {} vertices",
             traversals,
             {m for m in enumerate_complete(2 * e_count + 2) if is_connected(m)},
+            2 * e_count + 2,
         )
         rec.check(
-            f"rooted-map generating function, {e_count} edges",
+            "rooted-map generating function, {} edges",
             gf,
             moment(2 * e_count).shift_c(),
+            e_count,
         )
     loop = RootedMap((1, 0), (1, 0), 0)
     rec.check("one-loop traversal", map_to_connected_matching(loop).to_text(), "(1,4)(2,3)")
@@ -602,21 +639,22 @@ def _tail_swap_part(rec: RunReport) -> None:
                 continue
             connected_count += 1
             small, tags = tail_swap(cm)
-            rec.check(f"tail swap round trip {cm}", tail_swap_inverse(small, tags), cm)
+            rec.check("tail swap round trip {}", tail_swap_inverse(small, tags), cm, cm)
             rec.check(
-                f"tail swap preserves the tag count of {cm}",
+                "tail swap preserves the tag count of {}",
                 len(tags),
                 len(connected_matching_tags(cm)),
+                cm,
             )
             outputs.add((small, tags))
-        rec.check(f"tail swap injective on {n} vertices", len(outputs), connected_count)
+        rec.check("tail swap injective on {} vertices", len(outputs), connected_count, n)
         expected_pairs = set()
         for sm in enumerate_complete(n - 2):
             nn = nonnested_edges(sm)
             for r in range(len(nn) + 1):
                 for combo in itertools.combinations(nn, r):
                     expected_pairs.add((sm, frozenset(combo)))
-        rec.check(f"tail swap onto tagged matchings on {n - 2} vertices", outputs, expected_pairs)
+        rec.check("tail swap onto tagged matchings on {} vertices", outputs, expected_pairs, n - 2)
     for n in (0, 2, 4, 6, 8):
         for sm in enumerate_complete(n):
             nn = nonnested_edges(sm)
@@ -624,8 +662,10 @@ def _tail_swap_part(rec: RunReport) -> None:
                 for combo in itertools.combinations(nn, r):
                     tags = frozenset(combo)
                     big = tail_swap_inverse(sm, tags)
-                    rec.ensure(f"inverse swap of {sm} {sorted(tags)} connects", is_connected(big))
-                    rec.check(f"inverse round trip {sm} {sorted(tags)}", tail_swap(big), (sm, tags))
+                    rec.ensure(lambda: f"inverse swap of {sm} {sorted(tags)} connects",
+                               is_connected(big))
+                    rec.check(lambda: f"inverse round trip {sm} {sorted(tags)}",
+                              tail_swap(big), (sm, tags))
     rec.check(
         "tagged matchings on 8 vertices",
         sum(2 ** len(nonnested_edges(m)) for m in enumerate_complete(8)),
@@ -661,11 +701,12 @@ def suite_chebyshev(rec: RunReport) -> None:
     polynomials into Chebyshev ones."""
     for n in range(9):
         u = chebyshev_u(n)
-        rec.check(f"rescaled limit at degree {n}", chebyshev_limit(n), u)
-        rec.check(f"adjacent-edge matchings at degree {n}", chebyshev_u_matchings(n), u)
+        rec.check("rescaled limit at degree {}", chebyshev_limit(n), u, n)
+        rec.check("adjacent-edge matchings at degree {}", chebyshev_u_matchings(n), u, n)
         rec.ensure(
-            f"rescaled exponents stay nonpositive at degree {n}",
+            "rescaled exponents stay nonpositive at degree {}",
             all(shift <= 0 for _, shift in chebyshev_rescaled_terms(n)),
+            n,
         )
 
 
@@ -700,18 +741,20 @@ def suite_conjecture(rec: RunReport) -> None:
         if report.sizes in separated:
             seen.add(report.sizes)
             lhs, rhs = separated[report.sizes]
-            rec.ensure(f"sides separate at block sizes {report.sizes}",
-                       not report.match)
-            rec.check(f"functional side at {report.sizes}",
-                      report.lhs, from_coeffs(lhs))
-            rec.check(f"matching side at {report.sizes}",
-                      report.rhs, from_coeffs(rhs))
-            rec.check(f"gap at {report.sizes}", report.lhs - report.rhs, gap)
-            rec.check(f"gap closes at c = 1 for {report.sizes}",
+            rec.ensure("sides separate at block sizes {}",
+                       not report.match,
+                       report.sizes)
+            rec.check("functional side at {}",
+                      report.lhs, from_coeffs(lhs), report.sizes)
+            rec.check("matching side at {}",
+                      report.rhs, from_coeffs(rhs), report.sizes)
+            rec.check("gap at {}", report.lhs - report.rhs, gap, report.sizes)
+            rec.check("gap closes at c = 1 for {}",
                       (report.lhs - report.rhs).evaluate(c_value=1),
-                      Fraction(0))
+                      Fraction(0),
+                      report.sizes)
         else:
-            rec.ensure(f"conjecture at block sizes {report.sizes}", report.match)
+            rec.ensure("conjecture at block sizes {}", report.match, report.sizes)
     rec.check("all four separating multisets visited",
               sorted(seen), sorted(separated))
 

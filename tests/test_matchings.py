@@ -7,6 +7,7 @@ from assoc_hermite.matchings import (
     EdgeStats,
     Matching,
     WeightScheme,
+    _relation_masks,
     edge_stats,
     enumerate_complete,
     enumerate_incomplete,
@@ -162,6 +163,47 @@ def test_edge_relations_match_the_per_edge_scan():
                 assert weight(m, scheme) == reference_weight(m, scheme), (m, scheme)
             checked += 1
     assert checked == 1116
+
+
+def pairwise_relation_masks(edges):
+    """The edges each edge nests, and those crossing it from the left and
+    from the right, by comparing every pair."""
+    masks = ([], [], [])
+    for a, b in edges:
+        for mask, related in zip(masks, (
+            lambda a2, b2: a < a2 and b2 < b,
+            lambda a2, b2: a2 < a < b2 < b,
+            lambda a2, b2: a < a2 < b < b2,
+        )):
+            mask.append(sum(1 << j for j, (a2, b2) in enumerate(edges) if related(a2, b2)))
+    return tuple(tuple(mask) for mask in masks)
+
+
+def test_cached_relation_masks_equal_the_uncached_sweep():
+    sweep = _relation_masks.__wrapped__
+    checked = 0
+    for n in range(11):
+        for m in enumerate_incomplete(n):
+            cached = _relation_masks(m.edges)
+            assert cached == sweep(m.edges) == pairwise_relation_masks(m.edges), m
+            assert _relation_masks(m.edges) is cached
+            checked += 1
+    assert checked == 13232
+
+
+def test_relation_mask_cache_is_small_and_its_values_immutable():
+    maxsize = _relation_masks.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    masks = _relation_masks(((1, 4), (2, 5), (3, 6)))
+    assert masks == ((0, 0, 0), (0, 1, 3), (6, 4, 0))
+    for part in masks:
+        assert type(part) is tuple
+        with pytest.raises(TypeError):
+            part[0] = 1
+    # Far more distinct matchings than entries: the cache stays at its bound.
+    for m in enumerate_complete(8):
+        _relation_masks(m.edges)
+    assert _relation_masks.cache_info().currsize == maxsize
 
 
 def test_enumeration_order_is_pinned():

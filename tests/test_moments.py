@@ -42,6 +42,13 @@ def test_all_three_matching_routes_agree(scheme):
         assert moment_via_matchings(n, scheme) == moment(n)
 
 
+def test_negative_indices_are_refused():
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        list(enumerate_dyck_paths(-1))
+    with pytest.raises(ValueError, match="^moment index must be nonnegative$"):
+        moment(-1)
+
+
 def test_moment_via_matchings_error_contract():
     scheme = WeightScheme.MOMENT_NONNESTED
     assert moment_via_matchings(7, scheme) == Poly.zero()

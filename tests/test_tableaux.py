@@ -16,6 +16,7 @@ from assoc_hermite.tableaux import (
     _label_depths,
     _step,
     _walk_back,
+    _walk_step,
     enumerate_tableaux,
     forward_fillings,
     matching_to_tableau,
@@ -76,6 +77,13 @@ def test_from_text_rejects_bad_walks(text):
         OscillatingTableau.from_text(text)
 
 
+def test_a_walk_needs_a_shape_and_prints_as_its_text():
+    with pytest.raises(ValueError, match="^needs at least the empty shape$"):
+        OscillatingTableau(())
+    t = matching_to_tableau(WORKED)
+    assert str(t) == t.to_text() == "-;1;11;1;11;21;2;1;-"
+
+
 @given(complete_matchings)
 def test_round_trip_random(m):
     assert tableau_to_matching(matching_to_tableau(m)) == m
@@ -95,7 +103,7 @@ def test_unknown_statistic_rejected():
 def test_right_crossing_does_not_force_leaving_row_one():
     m = Matching.from_text("(1,5)(2,4)(3,6)")
     assert _edge_labels(m)[2] == 3
-    deep_row, _ = _label_depths(forward_fillings(m))[3]
+    deep_row, _ = _label_depths(matching_to_tableau(m))[3]
     assert deep_row == 0  # crossed from the right, never bumped
     assert edge_stats(m, (2, 4)).has_right_crossing
     assert tableau_weight(matching_to_tableau(m), "row") == Poly.monomial(0, 2)
@@ -154,11 +162,23 @@ def test_tableau_weight_matches_the_per_label_scan():
     assert count == 1070
 
 
+def scan_label_depths(fillings):
+    """The deepest row and deepest column, from 0, that each label reaches:
+    the scan of every filling that the walk's depth tracking replaced."""
+    depths = {}
+    for filling in fillings:
+        for r, row in enumerate(filling):
+            for col, label in enumerate(row):
+                deep_row, deep_col = depths.get(label, (0, 0))
+                depths[label] = (max(deep_row, r), max(deep_col, col))
+    return depths
+
+
 def forward_tableau_weights(fillings):
     """The column and row weights as defined before the one-walk version:
     each label's depths read from the forward fillings of the inverted
     walk."""
-    depths = _label_depths(fillings).values()
+    depths = scan_label_depths(fillings).values()
     return tuple(
         Poly.monomial(0, sum(1 for depth in depths if depth[axis] == 0)) for axis in (1, 0)
     )
@@ -171,16 +191,37 @@ def test_backward_walk_retraces_the_forward_fillings():
             m = tableau_to_matching(t)
             labels = {}
             backward = [()]
-            for v, label, rows in _walk_back(t):
+            for v, label, (row, col), rows in _walk_back(t):
                 labels[v] = label
-                backward.append(tuple(tuple(row) for row in rows))
+                filling = tuple(tuple(r) for r in rows)
+                # The label's box: in the filling before v at a right
+                # endpoint, in the one after v at a left endpoint.
+                boxed = filling if m.edge_of(v)[1] == v else backward[-1]
+                assert boxed[row][col] == label
+                backward.append(filling)
             fillings = forward_fillings(m)
             assert labels == _edge_labels(m)
             assert backward == fillings[::-1]
+            assert _label_depths(t) == scan_label_depths(fillings)
             weights = (tableau_weight(t, "column"), tableau_weight(t, "row"))
             assert weights == forward_tableau_weights(fillings)
+            for prev, cur in zip(t.shapes, t.shapes[1:]):
+                assert _walk_step(prev, cur) == _step(prev, cur)
+                assert _walk_step(cur, prev) == _step(cur, prev)
             count += 1
     assert count == 11465
+
+
+@given(
+    st.integers(7, 10)
+    .flatmap(lambda h: st.permutations(list(range(1, 2 * h + 1))))
+    .map(complete_from_order)
+)
+def test_depth_tracking_and_step_reading_match_the_scans_past_twelve(m):
+    t = matching_to_tableau(m)
+    assert _label_depths(t) == scan_label_depths(forward_fillings(m))
+    for prev, cur in zip(t.shapes, t.shapes[1:]):
+        assert _walk_step(prev, cur) == _step(prev, cur)
 
 
 def test_step_matches_the_size_and_row_scans():
