@@ -53,17 +53,18 @@ from .verification import LEVELS, run_all
 # `linearize` and `mixed` cost about the 4.5th power of n + m, so their total
 # stops where the worst split fits in the budget (`linearize 70 70`: 9.5-13.2 s;
 # `mixed 60 80`: 6.9-9.3 s).  moment(k) enumerates Dyck paths (`moments --upto
-# 20` and `orthogonality 10 10`: 11.4-11.5 s), and `conjecture` needs
-# moment(sum_max) (`--sum-max 20`: 14.5-18.1 s).  `gf` sums block matchings
+# 20` and `orthogonality 10 10`: 7.7-10.9 s), and `conjecture` needs
+# moment(sum_max) (`--sum-max 20`: 11.2-13.5 s).  `gf` sums block matchings
 # by a recurrence that drops histories unable to close in time (80 blocks
 # of 1 then one of 120: 0.2 s); at total 200 the worst found is `rightmost`
 # on 75-80 blocks of 1, one of 60-65, then 60 of 1 (15-19.7 s, close to the
 # budget), then 200 blocks of 1 (5.4-8.6 s); the moment schemes stay near 1 s.
 # `quadruples` translates every rooted map (8,162 at 5 edges, 1.1 s).  The
 # other bijections take one object of at most 300 edges; the worst is
-# `tailswap` on the all-crossing matching (i, i+300), cubic through the
-# crossing count it checks after each swap (2.1-2.8 s).  `poly matchings` and
-# `marker-edge` sum by history recurrences; their times are beside them.
+# `tailswap` on the all-crossing matching (i, i+300), quadratic since each
+# swap updates the crossing count it checks from the two edges that trade
+# tails (0.2-0.3 s).  `poly matchings` and `marker-edge` sum by history
+# recurrences; their times are beside them.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20

@@ -239,8 +239,52 @@ def connected_matching_weight(m: Matching) -> Poly:
 
 
 def _crossing_count(edges: list[Edge]) -> int:
-    # Each state of a swap is new, so the sweep bypasses the masks' cache.
+    # Each tail swap's first state is new, so the sweep bypasses the masks' cache.
     return sum(mask.bit_count() for mask in _relation_masks.__wrapped__(sorted(edges))[2])
+
+
+def _crossings_with(edge: Edge, edges: list[Edge]) -> int:
+    """How many of the edges cross the given one: of two edges on distinct
+    vertices, each crosses the other when exactly one end of it lies
+    inside the other."""
+    a, b = edge
+    return sum((a < c < b) != (a < d < b) for c, d in edges)
+
+
+def _swap_states(m: Matching) -> Iterator[tuple[list[Edge], Edge, set[Edge], int]]:
+    """The states of the tail swap on a connected matching m, from m itself
+    to the last: the edges but the marker, the marker, the tagged edges and
+    the total crossing count.  The edge list and the tag set change in
+    place from one state to the next.
+
+    A swap changes the crossings of the two edges that trade tails and no
+    others: the count gains their crossings with the other edges after the
+    swap, loses those before it, and loses one more, since the marker
+    crossed the chosen edge and now nests it."""
+    marker = m.edge_of(1)
+    edges = [e for e in m.edges if e != marker]
+    tags = set(connected_matching_tags(m))
+    crossings = _crossing_count(edges + [marker])
+    while True:
+        yield edges, marker, tags, crossings
+        f = marker[1]
+        crossers = [e for e in edges if e[0] < f < e[1]]
+        if not crossers:
+            return
+        chosen = min(crossers)
+        assert chosen in tags, f"untagged crossing edge {chosen!r}"
+        a, b = chosen
+        edges.remove(chosen)
+        tags.remove(chosen)
+        before = crossings
+        crossings += (
+            _crossings_with((1, b), edges) + _crossings_with((a, f), edges)
+            - _crossings_with(marker, edges) - _crossings_with(chosen, edges) - 1
+        )
+        assert crossings < before, "crossings did not drop"
+        edges.append((a, f))
+        tags.add((a, f))
+        marker = (1, b)
 
 
 def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:
@@ -260,25 +304,8 @@ def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:
         raise ValueError("needs a connected matching")
     if m.n == 0:
         raise ValueError("needs at least one edge")
-    marker = m.edge_of(1)
-    edges = [e for e in m.edges if e != marker]
-    tags = set(connected_matching_tags(m))
-    crossings = _crossing_count(edges + [marker])
-    while True:
-        f = marker[1]
-        crossers = [e for e in edges if e[0] < f < e[1]]
-        if not crossers:
-            break
-        chosen = min(crossers)
-        assert chosen in tags, f"untagged crossing edge {chosen!r}"
-        a, b = chosen
-        edges.remove(chosen)
-        tags.remove(chosen)
-        edges.append((a, f))
-        tags.add((a, f))
-        marker = (1, b)
-        before, crossings = crossings, _crossing_count(edges + [marker])
-        assert crossings < before, "crossings did not drop"
+    for edges, marker, tags, _ in _swap_states(m):
+        pass
     assert marker == (1, m.n), "marker did not reach the last vertex"
     return (
         Matching(m.n - 2, tuple((a - 1, b - 1) for a, b in edges)),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._history import _check_rows, _histories
 from .matchings import (
@@ -56,14 +56,16 @@ def enumerate_dyck_paths(length: int) -> Iterator[DyckPath]:
     yield from rec((), 0, length)
 
 
-def _path_weight(path: DyckPath) -> Poly:
+def _path_weight(path: DyckPath, down: Sequence[Poly]) -> Poly:
+    """The product over the path's down steps of down[j], j the height the
+    step starts from."""
     height = 0
     w = Poly.one()
     for step in path:
         if step == 1:
             height += 1
         else:
-            w = w * (C + (height - 1))
+            w = w * down[height]
             height -= 1
     return w
 
@@ -75,7 +77,9 @@ def moment(n: int) -> Poly:
         raise ValueError("moment index must be nonnegative")
     if n % 2:
         return Poly.zero()
-    return _gf(enumerate_dyck_paths(n), _path_weight)
+    # The weight c + j - 1 of a down step from each height j a path reaches.
+    down = [C + (j - 1) for j in range(n // 2 + 1)]
+    return _gf(enumerate_dyck_paths(n), lambda path: _path_weight(path, down))
 
 
 def moment_via_matchings(n: int, scheme: WeightScheme) -> Poly:

@@ -193,8 +193,21 @@ class Poly:
     # ----- transforms -----
 
     def evaluate(self, x_value: Scalar = 0, c_value: Scalar = 0) -> Fraction:
+        """The value at x = x_value, c = c_value.  At integer points the
+        terms are summed as integers over their common denominator, and
+        one Fraction is built at the end."""
         xv = _exact(x_value)
         cv = _exact(c_value)
+        if xv.denominator == 1 and cv.denominator == 1:
+            xi, ci = xv.numerator, cv.numerator
+            den = lcm(*(q.denominator for q in self.terms.values()))
+            return Fraction(
+                sum(
+                    q.numerator * (den // q.denominator) * xi**xd * ci**cd
+                    for (xd, cd), q in self.terms.items()
+                ),
+                den,
+            )
         total = Fraction(0)
         for (xd, cd), q in self.terms.items():
             total += q * xv**xd * cv**cd

@@ -10,9 +10,10 @@ of the polynomials (`_history._partial_matchings` and
 `_history._marker_edge`).  Each suite returns a RunReport that lists how
 many cases ran and which failed.  A case's name is built only when the
 case fails, from a format string and its arguments or from a callable, so
-passing cases cost no formatting.  `run_all` runs a level's suites on a
-pool of forked workers, one per available CPU, longest first.  The desk
-level finishes in seconds; the extended level adds the four-edge
+passing cases cost no formatting.  `run_all` runs a level's suites on
+forked workers, one per available CPU, longest first; the workers take
+suites from one pipe and send their pickled reports back on their own.
+The desk level finishes in seconds; the extended level adds the four-edge
 rooted-map census.
 """
 
@@ -21,13 +22,12 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import sys
 import threading
 import time
 from contextlib import suppress
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NoReturn
 
 from ._history import _paired_rows
 from .linearization import (
@@ -159,9 +159,10 @@ class RunReport:
 
 def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Callable[[], RunReport]]:
     """Decorate a function that records its cases into a report: the suite
-    makes the report, times the call and returns the report.  An exception
-    raised inside the body becomes one more failed case, after the cases
-    recorded before it, so the other suites still run and report."""
+    makes the report, times the call and returns the report, whose name is
+    also the suite's `suite` attribute.  An exception raised inside the
+    body becomes one more failed case, after the cases recorded before it,
+    so the other suites still run and report."""
 
     def wrap(body: Callable[[RunReport], None]) -> Callable[[], RunReport]:
         @functools.wraps(body)
@@ -175,6 +176,7 @@ def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Callable[[], Ru
             rec.seconds = time.perf_counter() - start
             return rec
 
+        run.suite = name
         return run
 
     return wrap
@@ -804,10 +806,10 @@ def _suites(level: str) -> list[Callable[[], RunReport]]:
     return suites
 
 
-# Every suite, longest first by its desk `--timings` seconds.  The pool
-# hands the suites out in this order, so no long suite starts last and
-# keeps one worker busy after the others finish; suites missing here go
-# after these, in suite order.
+# Every suite, longest first by its desk `--timings` seconds.  The workers
+# take the suites in this order, so no long suite starts last and keeps one
+# worker busy after the others finish; suites missing here go after these,
+# in suite order.
 _LONGEST_FIRST = (
     suite_orthogonality,
     suite_bijections,
@@ -825,7 +827,7 @@ _LONGEST_FIRST = (
 
 
 def _dispatch_order(level: str) -> list[int]:
-    """The indices into _suites(level) in the order the pool starts them."""
+    """The indices into _suites(level) in the order the workers start them."""
     suites = _suites(level)
     rank = {suite: i for i, suite in enumerate(_LONGEST_FIRST)}
     return sorted(range(len(suites)), key=lambda i: rank.get(suites[i], len(rank)))
@@ -833,7 +835,7 @@ def _dispatch_order(level: str) -> list[int]:
 
 def _run_suite(level: str, index: int, origin: float) -> RunReport:
     """Run one suite and record when it started, in seconds after origin.
-    A pool worker looks the suite up in the module state it inherited at
+    A forked worker looks the suite up in the module state it inherited at
     the fork, so a suite need not pickle."""
     start = time.perf_counter() - origin
     report = _suites(level)[index]()
@@ -848,34 +850,114 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _work(level: str, origin: float, tasks: int, out: int, inherited: list[int]) -> NoReturn:
+    """The life of one forked worker.  It reads suite indices from the task
+    pipe one byte at a time until the pipe is empty.  For each suite it
+    writes the index before running it, then the pickled report's length in
+    four bytes and the report, so the parent can tell which suite a worker
+    that died was running.  It leaves through os._exit, so it never returns
+    into its caller and flushes none of the streams it inherited."""
+    status = 1
+    try:
+        import pickle
+
+        for fd in inherited:
+            os.close(fd)
+        with open(out, "wb") as stream:
+            while index := os.read(tasks, 1):
+                stream.write(index)
+                stream.flush()
+                data = pickle.dumps(_run_suite(level, index[0], origin))
+                stream.write(len(data).to_bytes(4, "big") + data)
+                stream.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _lost(status: int | None) -> str:
+    """Why a suite has no report, from the wait status of the worker that
+    was running it, or None when no worker started it."""
+    if status is None:
+        return "not started: every worker exited"
+    code = os.waitstatus_to_exitcode(status)
+    return f"worker exit code {code}" if code >= 0 else f"worker killed by signal {-code}"
+
+
+def _fork_suites(level: str, workers: int, origin: float) -> list[RunReport]:
+    """Run the level's suites on forked workers and return their reports in
+    suite order.  The workers take suite indices, in dispatch order, from
+    one task pipe and stream their reports back on one pipe each.  The
+    parent reads every result pipe to its end, taking whichever has data, so
+    no worker blocks on a full pipe, then reaps the workers.  A suite left
+    without a report gets one failed case naming its worker's wait status."""
+    # Every CLI call pays this module's imports; only a forked run needs these.
+    import pickle
+    import select
+
+    suites = _suites(level)
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(_dispatch_order(level)))
+    os.close(feed)
+    received: dict[int, bytearray] = {}  # result pipe -> the bytes read from it
+    pids: dict[int, int] = {}  # result pipe -> its worker's pid
+    try:
+        for _ in range(workers):
+            reader, writer = os.pipe()
+            received[reader] = bytearray()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(level, origin, tasks, writer, list(received))
+            finally:
+                os.close(writer)
+            pids[reader] = pid
+        reading = list(received)
+        while reading:
+            for reader in select.select(reading, [], [])[0]:
+                chunk = os.read(reader, 1 << 16)
+                if chunk:
+                    received[reader] += chunk
+                else:
+                    reading.remove(reader)
+    finally:
+        for fd in [tasks, *received]:
+            os.close(fd)
+        statuses = {reader: os.waitpid(pid, 0)[1] for reader, pid in pids.items()}
+
+    reports: list[RunReport | None] = [None] * len(suites)
+    lost: dict[int, int] = {}  # suite index -> wait status of the worker it died in
+    for reader, data in received.items():
+        pos = 0
+        while pos < len(data):
+            index = data[pos]
+            end = pos + 5 + int.from_bytes(data[pos + 1 : pos + 5], "big")
+            if end > len(data):
+                lost[index] = statuses[reader]
+                break
+            reports[index] = pickle.loads(data[pos + 5 : end])
+            pos = end
+    for index, report in enumerate(reports):
+        if report is None:
+            report = reports[index] = RunReport(suites[index].suite)
+            report.check("worker exited before reporting", _lost(lost.get(index)), "a report")
+    return reports
+
+
 def run_all(level: str = "desk") -> list[RunReport]:
     """Run every suite at the given level and return their reports in
     suite order.
 
-    The suites are independent, so they run on a pool of forked workers,
-    one per available CPU, which starts them longest first.  They run one
-    after another in this process instead with one CPU, where processes
-    cannot be forked, or while other threads run, since a fork copies locks
-    those threads may hold.  Each report's seconds are the suite's time
-    inside its worker, and its start is when the suite began, in seconds
-    after run_all began."""
+    The suites are independent, so they run on forked workers, one per
+    available CPU, which start them longest first (`_fork_suites`).  They
+    run one after another in this process instead with one CPU, where
+    processes cannot be forked, or while other threads run, since a fork
+    copies locks those threads may hold.  Each report's seconds are the
+    suite's time inside its worker, and its start is when the suite began,
+    in seconds after run_all began."""
     origin = time.perf_counter()
     count = len(_suites(level))
     workers = min(count, _available_cpus())
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # A worker flushes the standard streams it inherited when it
-            # exits; flushing first keeps buffered text from being repeated.
-            sys.stdout.flush()
-            sys.stderr.flush()
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {
-                    i: pool.submit(_run_suite, level, i, origin) for i in _dispatch_order(level)
-                }
-                return [futures[i].result() for i in range(count)]
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _fork_suites(level, workers, origin)
     return [_run_suite(level, i, origin) for i in range(count)]

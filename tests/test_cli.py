@@ -7,10 +7,14 @@ is exactly what a shell user sees.
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -519,14 +523,6 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
     # d and b are ranked longest; the unranked a and c follow in suite order.
     monkeypatch.setattr(verification, "_LONGEST_FIRST", (stubs["d"], stubs["b"]))
     monkeypatch.setattr(verification, "_available_cpus", lambda: cpus)
-    dispatched = []
-    submit = ProcessPoolExecutor.submit
-
-    def recording_submit(pool, fn, level, index, origin):
-        dispatched.append(index)
-        return submit(pool, fn, level, index, origin)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     stop = threading.Event()
     running = [threading.Thread(target=stop.wait) for _ in range(threads)]
     for thread in running:
@@ -537,11 +533,112 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
         stop.set()
         for thread in running:
             thread.join(timeout=10)
-    assert [(r.suite, r.cases, r.failures) for r in reports] == [
-        (name, 2, [verification.Failure("recorded failure", "", name)]) for name in "abcd"
-    ]
-    assert dispatched == ([3, 1, 0, 2] if forked else [])
+    expected = [(name, 2, [verification.Failure("recorded failure", "", name)]) for name in "abcd"]
+    assert [(r.suite, r.cases, r.failures) for r in reports] == expected
     assert all(r.start >= 0 for r in reports)
+    if forked:
+        # A single worker takes the suites one at a time, in dispatch order.
+        alone = verification._fork_suites("desk", 1, time.perf_counter())
+        assert [(r.suite, r.cases, r.failures) for r in alone] == expected
+        assert [r.suite for r in sorted(alone, key=lambda r: r.start)] == list("dbac")
+
+
+# Suites that end their process, only ever a forked worker: in the test
+# process itself they return, and the test fails on their missing records.
+TEST_PROCESS = os.getpid()
+
+
+def _exits(rec):
+    if os.getpid() != TEST_PROCESS:
+        os._exit(3)
+
+
+def _killed(rec):
+    if os.getpid() != TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _healthy(rec):
+    rec.check("healthy", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "cpus, bodies, lost",
+    [
+        (3, [_exits, _killed, _healthy], ["worker exit code 3", "worker killed by signal 9", None]),
+        # Both workers die, so neither is left to start the third suite.
+        (2, [_exits, _exits, _healthy], [
+            "worker exit code 3", "worker exit code 3", "not started: every worker exited"
+        ]),
+    ],
+    ids=["each-suite-its-worker", "no-worker-left"],
+)
+def test_verify_all_reports_a_worker_that_dies(capsys, monkeypatch, cpus, bodies, lost):
+    suites = [verification._suite(f"suite {i}")(body) for i, body in enumerate(bodies)]
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suites))
+    monkeypatch.setattr(verification, "_available_cpus", lambda: cpus)
+    rc, out, err = run(capsys, "verify-all")
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == [
+        {
+            "suite": f"suite {i}",
+            "cases": 1,
+            "failures": [] if why is None else [
+                {"case": "worker exited before reporting", "expected": "a report", "actual": why}
+            ],
+        }
+        for i, why in enumerate(lost)
+    ]
+
+
+def test_verify_all_drains_reports_larger_than_a_pipe(monkeypatch):
+    # The big report pickles to about 200 kB, past the 64 kB a pipe
+    # buffers, so its worker blocks writing until the parent reads.  The
+    # parent reads whichever pipe has data, so that worker goes on to the
+    # quick suite while the slow one still runs; a parent waiting on the
+    # slow suite's pipe first would hold the quick suite back until then.
+    def big(rec):
+        for i in range(200):
+            rec.check("case {}", f"{i:>1000}", "", i)
+
+    bodies = {"slow": lambda rec: time.sleep(1), "big": big, "quick": _healthy}
+    suites = [verification._suite(name)(body) for name, body in bodies.items()]
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suites))
+    monkeypatch.setattr(verification, "_available_cpus", lambda: 2)
+
+    def stalled(signum, frame):
+        raise TimeoutError("run_all did not finish in 30 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(30)
+    try:
+        slow, big_report, quick = verification.run_all("desk")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert big_report.failures == [
+        verification.Failure(f"case {i}", "", f"{i:>1000}") for i in range(200)
+    ]
+    assert (slow.ok, quick.ok) == (True, True)
+    assert quick.start < slow.start + slow.seconds
+
+
+def test_text_buffered_before_verify_all_is_printed_once():
+    # Forked workers leave through os._exit and flush no inherited buffer.
+    code = (
+        "import sys\n"
+        "from assoc_hermite import verification\n"
+        "verification._available_cpus = lambda: 3\n"
+        "ok = verification._suite('ok')(lambda rec: rec.check('ok', 1, 1))\n"
+        "verification.DESK_SUITES = (ok, ok, ok)\n"
+        "print('buffered before the run')\n"
+        "assert all(r.ok for r in verification.run_all('desk'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verification.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "buffered before the run\n", "")
 
 
 @pytest.mark.parametrize("level", verification.LEVELS)

@@ -71,3 +71,19 @@ def test_cli_imports_no_dataclasses_or_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_verify_all_imports_no_multiprocessing_or_concurrent_futures():
+    """verify-all forks its workers itself; the executor machinery alone
+    took tens of milliseconds to import and start."""
+    code = (
+        "import io, sys, contextlib, assoc_hermite.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify-all', '--level', 'desk'])\n"
+        "print(status, sorted({'multiprocessing', 'concurrent.futures'} & sys.modules.keys()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0 []\n"

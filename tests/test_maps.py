@@ -205,5 +205,25 @@ def test_crossing_count_matches_the_scan_on_the_suite_inputs(monkeypatch):
 
     monkeypatch.setattr(maps, "_crossing_count", checked)
     assert suite_bijections().ok
-    # One count per tail-swap state: each call's start and each swap's result.
-    assert len(counts) == 3919
+    # One count per tail swap, of its first state; later states update it.
+    assert len(counts) == 1588
+
+
+ALL_CROSSING = Matching.from_text("".join(f"({i},{i + 300})" for i in range(1, 301)))
+
+
+@pytest.mark.parametrize(
+    "matchings, states",
+    [
+        ([m for n in range(2, 11, 2) for m in enumerate_complete(n) if is_connected(m)], 1957),
+        ([ALL_CROSSING], 300),
+    ],
+    ids=["connected-up-to-10-vertices", "all-crossing-300-edges"],
+)
+def test_swap_states_count_crossings_as_the_sweep_does(matchings, states):
+    seen = 0
+    for m in matchings:
+        for edges, marker, _, crossings in maps._swap_states(m):
+            assert crossings == maps._crossing_count(edges + [marker]), (m, marker)
+            seen += 1
+    assert seen == states
