@@ -253,6 +253,10 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise ValueError(f"sizes must be comma-separated integers, got {args.sizes!r}")
+    # inhomogeneous_gf answers an odd total with zero before it checks the
+    # blocks, so a negative size is refused here, as is a negative total.
+    if any(s < 0 for s in sizes):
+        raise ValueError("block sizes must be nonnegative")
     _check_size("block total", sum(sizes), _MAX_BLOCK_TOTAL)
     scheme = WeightScheme(args.scheme)
     value = inhomogeneous_gf(sizes, scheme)

@@ -10,9 +10,10 @@ of the polynomials (`_history._partial_matchings` and
 `_history._marker_edge`).  Each suite returns a RunReport that lists how
 many cases ran and which failed.  A case's name is built only when the
 case fails, from a format string and its arguments or from a callable, so
-passing cases cost no formatting.  `run_all` runs a level's suites on
-forked workers, one per available CPU, longest first; the workers take
-suites from one pipe and send their pickled reports back on their own.
+passing cases cost no formatting.  `run_all` runs each of a level's
+suites in a forked worker of its own, longest first, as many at once as
+there are available CPUs; each worker sends its pickled report back on a
+pipe of its own.
 The desk level finishes in seconds; the extended level adds the four-edge
 rooted-map census.
 """
@@ -27,7 +28,7 @@ import time
 from contextlib import suppress
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NoReturn
+from typing import Callable
 
 from ._history import _paired_rows
 from .linearization import (
@@ -157,14 +158,17 @@ class RunReport:
         return obj
 
 
-def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Callable[[], RunReport]]:
+Suite = Callable[[], RunReport]  # a suite runs its cases and returns their report
+
+
+def _suite(name: str) -> Callable[[Callable[[RunReport], None]], Suite]:
     """Decorate a function that records its cases into a report: the suite
     makes the report, times the call and returns the report, whose name is
     also the suite's `suite` attribute.  An exception raised inside the
     body becomes one more failed case, after the cases recorded before it,
     so the other suites still run and report."""
 
-    def wrap(body: Callable[[RunReport], None]) -> Callable[[], RunReport]:
+    def wrap(body: Callable[[RunReport], None]) -> Suite:
         @functools.wraps(body)
         def run() -> RunReport:
             rec = RunReport(name)
@@ -780,7 +784,7 @@ def suite_maps_extended(rec: RunReport) -> None:
     rec.check("rooted-map generating function, 4 edges", gf, moment(8).shift_c())
 
 
-DESK_SUITES: tuple[Callable[[], RunReport], ...] = (
+DESK_SUITES: tuple[Suite, ...] = (
     suite_moment_tables,
     suite_orthogonality,
     suite_involution,
@@ -797,7 +801,7 @@ DESK_SUITES: tuple[Callable[[], RunReport], ...] = (
 LEVELS = ("desk", "extended")
 
 
-def _suites(level: str) -> list[Callable[[], RunReport]]:
+def _suites(level: str) -> list[Suite]:
     if level not in LEVELS:
         raise ValueError(f"unknown verification level {level!r}")
     suites = list(DESK_SUITES)
@@ -807,8 +811,8 @@ def _suites(level: str) -> list[Callable[[], RunReport]]:
 
 
 # Every suite, longest first by its desk `--timings` seconds.  The workers
-# take the suites in this order, so no long suite starts last and keeps one
-# worker busy after the others finish; suites missing here go after these,
+# start the suites in this order, so no long suite starts last and keeps
+# its worker busy after the others finish; suites missing here go after these,
 # in suite order.
 _LONGEST_FIRST = (
     suite_orthogonality,
@@ -833,12 +837,10 @@ def _dispatch_order(level: str) -> list[int]:
     return sorted(range(len(suites)), key=lambda i: rank.get(suites[i], len(rank)))
 
 
-def _run_suite(level: str, index: int, origin: float) -> RunReport:
-    """Run one suite and record when it started, in seconds after origin.
-    A forked worker looks the suite up in the module state it inherited at
-    the fork, so a suite need not pickle."""
+def _run_suite(suite: Suite, origin: float) -> RunReport:
+    """Run one suite and record when it started, in seconds after origin."""
     start = time.perf_counter() - origin
-    report = _suites(level)[index]()
+    report = suite()
     report.start = start
     return report
 
@@ -850,114 +852,107 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _work(level: str, origin: float, tasks: int, out: int, inherited: list[int]) -> NoReturn:
-    """The life of one forked worker.  It reads suite indices from the task
-    pipe one byte at a time until the pipe is empty.  For each suite it
-    writes the index before running it, then the pickled report's length in
-    four bytes and the report, so the parent can tell which suite a worker
-    that died was running.  It leaves through os._exit, so it never returns
-    into its caller and flushes none of the streams it inherited."""
+def _fork(suite: Suite, origin: float, inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs suite and writes the pickled report to a pipe
+    of its own; return the worker's pid and the pipe's reader.  The worker
+    closes the parent's readers, inherited, and leaves through os._exit, so
+    it never returns into its caller and flushes none of the streams it
+    inherited."""
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid:
+        os.close(writer)
+        return pid, reader
     status = 1
     try:
         import pickle
 
-        for fd in inherited:
+        for fd in [reader, *inherited]:
             os.close(fd)
-        with open(out, "wb") as stream:
-            while index := os.read(tasks, 1):
-                stream.write(index)
-                stream.flush()
-                data = pickle.dumps(_run_suite(level, index[0], origin))
-                stream.write(len(data).to_bytes(4, "big") + data)
-                stream.flush()
+        with open(writer, "wb") as stream:
+            pickle.dump(_run_suite(suite, origin), stream)
         status = 0
     finally:
         os._exit(status)
 
 
-def _lost(status: int | None) -> str:
-    """Why a suite has no report, from the wait status of the worker that
-    was running it, or None when no worker started it."""
-    if status is None:
-        return "not started: every worker exited"
-    code = os.waitstatus_to_exitcode(status)
-    return f"worker exit code {code}" if code >= 0 else f"worker killed by signal {-code}"
+def _failed(suite: Suite, cause: OSError | int) -> RunReport:
+    """The report of a suite whose worker could not start, cause being the
+    error, or exited without reporting, cause being its wait status: one
+    failed case that says why."""
+    report = RunReport(suite.suite)
+    if isinstance(cause, OSError):
+        report.check("worker could not start", f"{type(cause).__name__}: {cause}", "a worker")
+    else:
+        code = os.waitstatus_to_exitcode(cause)
+        why = f"worker exit code {code}" if code >= 0 else f"worker killed by signal {-code}"
+        report.check("worker exited before reporting", why, "a report")
+    return report
 
 
 def _fork_suites(level: str, workers: int, origin: float) -> list[RunReport]:
-    """Run the level's suites on forked workers and return their reports in
-    suite order.  The workers take suite indices, in dispatch order, from
-    one task pipe and stream their reports back on one pipe each.  The
-    parent reads every result pipe to its end, taking whichever has data, so
-    no worker blocks on a full pipe, then reaps the workers.  A suite left
-    without a report gets one failed case naming its worker's wait status."""
+    """Run each of the level's suites in a forked worker of its own, at most
+    `workers` at once, started in dispatch order, and return their reports
+    in suite order.  The parent reads whichever running worker's pipe has
+    data, so no worker blocks on a full pipe; at a pipe's end it reaps that
+    worker and forks the next suite.  A suite whose worker could not start,
+    or exited without a report, gets one failed case saying why."""
     # Every CLI call pays this module's imports; only a forked run needs these.
     import pickle
     import select
 
     suites = _suites(level)
-    tasks, feed = os.pipe()
-    os.write(feed, bytes(_dispatch_order(level)))
-    os.close(feed)
-    received: dict[int, bytearray] = {}  # result pipe -> the bytes read from it
-    pids: dict[int, int] = {}  # result pipe -> its worker's pid
+    waiting = _dispatch_order(level)[::-1]
+    reports: dict[int, RunReport] = {}  # suite index -> its report
+    running: dict[int, tuple[int, int, bytearray]] = {}  # reader -> suite index, pid, bytes read
     try:
-        for _ in range(workers):
-            reader, writer = os.pipe()
-            received[reader] = bytearray()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(level, origin, tasks, writer, list(received))
-            finally:
-                os.close(writer)
-            pids[reader] = pid
-        reading = list(received)
-        while reading:
-            for reader in select.select(reading, [], [])[0]:
-                chunk = os.read(reader, 1 << 16)
-                if chunk:
-                    received[reader] += chunk
+        while True:
+            while waiting and len(running) < workers:
+                index = waiting.pop()
+                try:
+                    pid, reader = _fork(suites[index], origin, list(running))
+                except OSError as exc:
+                    reports[index] = _failed(suites[index], exc)
                 else:
-                    reading.remove(reader)
+                    running[reader] = (index, pid, bytearray())
+            if not running:
+                return [reports[index] for index in range(len(suites))]
+            for reader in select.select(list(running), [], [])[0]:
+                if chunk := os.read(reader, 1 << 16):
+                    running[reader][2].extend(chunk)
+                    continue
+                index, pid, data = running.pop(reader)
+                os.close(reader)
+                status = os.waitpid(pid, 0)[1]
+                if status == 0 and data:
+                    reports[index] = pickle.loads(data)
+                else:
+                    reports[index] = _failed(suites[index], status)
     finally:
-        for fd in [tasks, *received]:
-            os.close(fd)
-        statuses = {reader: os.waitpid(pid, 0)[1] for reader, pid in pids.items()}
-
-    reports: list[RunReport | None] = [None] * len(suites)
-    lost: dict[int, int] = {}  # suite index -> wait status of the worker it died in
-    for reader, data in received.items():
-        pos = 0
-        while pos < len(data):
-            index = data[pos]
-            end = pos + 5 + int.from_bytes(data[pos + 1 : pos + 5], "big")
-            if end > len(data):
-                lost[index] = statuses[reader]
-                break
-            reports[index] = pickle.loads(data[pos + 5 : end])
-            pos = end
-    for index, report in enumerate(reports):
-        if report is None:
-            report = reports[index] = RunReport(suites[index].suite)
-            report.check("worker exited before reporting", _lost(lost.get(index)), "a report")
-    return reports
+        for reader, (_, pid, _) in running.items():
+            os.close(reader)
+            os.waitpid(pid, 0)
 
 
 def run_all(level: str = "desk") -> list[RunReport]:
     """Run every suite at the given level and return their reports in
     suite order.
 
-    The suites are independent, so they run on forked workers, one per
-    available CPU, which start them longest first (`_fork_suites`).  They
-    run one after another in this process instead with one CPU, where
-    processes cannot be forked, or while other threads run, since a fork
-    copies locks those threads may hold.  Each report's seconds are the
+    The suites are independent, so each runs in a forked worker of its
+    own, longest first, with one worker per available CPU at a time
+    (`_fork_suites`).  They run one after another in this process instead
+    with one CPU, where processes cannot be forked, or while other threads
+    run, since a fork copies locks those threads may hold.  Each report's seconds are the
     suite's time inside its worker, and its start is when the suite began,
     in seconds after run_all began."""
     origin = time.perf_counter()
-    count = len(_suites(level))
-    workers = min(count, _available_cpus())
+    suites = _suites(level)
+    workers = min(len(suites), _available_cpus())
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         return _fork_suites(level, workers, origin)
-    return [_run_suite(level, i, origin) for i in range(count)]
+    return [_run_suite(suite, origin) for suite in suites]

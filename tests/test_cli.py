@@ -268,6 +268,8 @@ def test_gf_bad_sizes(capsys):
 @pytest.mark.parametrize(
     "sizes, message",
     [
+        ("-1,2", "block sizes must be nonnegative"),
+        ("-1", "block sizes must be nonnegative"),
         ("-2,4", "block sizes must be nonnegative"),
         ("-2,20", "block sizes must be nonnegative"),
         ("101,101", "block total 202 exceeds 200"),
@@ -507,7 +509,8 @@ def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch, exc):
     "cpus, threads, forked", [(1, 0, False), (3, 0, True), (3, 1, False)]
 )
 def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threads, forked):
-    # One worker per CPU, but never a fork while another thread runs.
+    # At most one worker per CPU at a time, but never a fork while another
+    # thread runs.
     parent = os.getpid()
 
     def suite(name):
@@ -537,7 +540,7 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
     assert [(r.suite, r.cases, r.failures) for r in reports] == expected
     assert all(r.start >= 0 for r in reports)
     if forked:
-        # A single worker takes the suites one at a time, in dispatch order.
+        # With one worker at a time the suites start in dispatch order.
         alone = verification._fork_suites("desk", 1, time.perf_counter())
         assert [(r.suite, r.cases, r.failures) for r in alone] == expected
         assert [r.suite for r in sorted(alone, key=lambda r: r.start)] == list("dbac")
@@ -566,10 +569,8 @@ def _healthy(rec):
     "cpus, bodies, lost",
     [
         (3, [_exits, _killed, _healthy], ["worker exit code 3", "worker killed by signal 9", None]),
-        # Both workers die, so neither is left to start the third suite.
-        (2, [_exits, _exits, _healthy], [
-            "worker exit code 3", "worker exit code 3", "not started: every worker exited"
-        ]),
+        # Both workers die; the third suite runs in a worker of its own.
+        (2, [_exits, _exits, _healthy], ["worker exit code 3", "worker exit code 3", None]),
     ],
     ids=["each-suite-its-worker", "no-worker-left"],
 )
@@ -591,12 +592,71 @@ def test_verify_all_reports_a_worker_that_dies(capsys, monkeypatch, cpus, bodies
     ]
 
 
+def _fail_second_call(monkeypatch, name):
+    """Make the second call of os.<name> fail with EAGAIN, as a fork does at
+    the process limit."""
+    real = getattr(os, name)
+    calls = []
+
+    def fails_once():
+        calls.append(name)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, name, fails_once)
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_verify_all_reports_a_worker_that_cannot_start(capsys, monkeypatch, call):
+    # The second suite's worker never starts; the other two run and report.
+    suites = [verification._suite(f"suite {i}")(_healthy) for i in range(3)]
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suites))
+    monkeypatch.setattr(verification, "_available_cpus", lambda: 3)
+    _fail_second_call(monkeypatch, call)
+    rc, out, err = run(capsys, "verify-all")
+    assert (rc, err) == (1, "")
+    failure = {
+        "case": "worker could not start",
+        "expected": "a worker",
+        "actual": "BlockingIOError: [Errno 11] Resource temporarily unavailable",
+    }
+    assert json.loads(out) == [
+        {"suite": f"suite {i}", "cases": 1, "failures": [failure] if i == 1 else []}
+        for i in range(3)
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no descriptor listing")
+@pytest.mark.parametrize("case", ["healthy", "worker-exits", "fork-fails"])
+def test_verify_all_leaves_no_descriptor_open(monkeypatch, case):
+    bodies = [_healthy, _exits if case == "worker-exits" else _healthy, _healthy]
+    suites = [verification._suite(f"suite {i}")(body) for i, body in enumerate(bodies)]
+    monkeypatch.setattr(verification, "DESK_SUITES", tuple(suites))
+    monkeypatch.setattr(verification, "_available_cpus", lambda: 3)
+    if case == "fork-fails":
+        _fail_second_call(monkeypatch, "fork")
+    before = sorted(os.listdir("/proc/self/fd"))
+    reports = verification.run_all("desk")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert [r.ok for r in reports] == [True, case == "healthy", True]
+
+
+@pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch, count, cpus):
+    # Without an affinity call (macOS, Windows) every CPU counts.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert verification._available_cpus() == cpus
+
+
 def test_verify_all_drains_reports_larger_than_a_pipe(monkeypatch):
     # The big report pickles to about 200 kB, past the 64 kB a pipe
     # buffers, so its worker blocks writing until the parent reads.  The
-    # parent reads whichever pipe has data, so that worker goes on to the
-    # quick suite while the slow one still runs; a parent waiting on the
-    # slow suite's pipe first would hold the quick suite back until then.
+    # parent reads whichever pipe has data, so that worker finishes and the
+    # quick suite starts in its place while the slow one still runs; a
+    # parent waiting on the slow suite's pipe first would hold the quick
+    # suite back until then.
     def big(rec):
         for i in range(200):
             rec.check("case {}", f"{i:>1000}", "", i)

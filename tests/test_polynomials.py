@@ -111,6 +111,28 @@ def test_zero_terms_are_dropped():
     assert _gf([X, -X, C, -C], lambda p: p).terms == {}
 
 
+@pytest.mark.parametrize(
+    "poly, text",
+    [
+        (Poly.zero(), "0"),
+        (Poly.constant(Fraction(-3, 2)), "-3/2"),
+        (-X, "-x"),
+        (Poly.monomial(2, 1, Fraction(1, 2)), "(1/2)x^2c"),
+        (X - 1, "x - 1"),
+        (X**2 - Fraction(1, 2) * X, "x^2 + (-1/2)x"),
+        (-C + 2, "-c + 2"),
+    ],
+)
+def test_str_is_pinned(poly, text):
+    # `conjecture --csv` and failure records print this form.
+    assert str(poly) == text
+
+
+def test_only_zero_is_false():
+    assert bool(Poly.zero()) is False
+    assert bool(Poly.constant(Fraction(-3, 2))) is True
+
+
 def test_poly_is_not_hashable():
     with pytest.raises(TypeError):
         hash(X)
