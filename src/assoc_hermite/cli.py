@@ -4,25 +4,22 @@ Output goes to standard output as JSON with sorted keys (or CSV for the
 tabular commands), with nothing time- or environment-dependent in it, so a
 repeated invocation is byte-identical.  Usage problems exit with status 2;
 a failed verification run exits with status 1.
+
+Every call runs in a fresh interpreter and pays for what this module
+imports, so it imports at the top only the modules that several commands
+share.  A module that one command needs is imported by that command:
+`verification` by `verify-all`, `maps` and `tableaux` by `bijection`, and
+`csv` by `--csv` output.  `poly hermite 3` loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
+from . import LEVELS
 from .linearization import _linearize, _mix, conjecture_sweep, inhomogeneous_gf
-from .maps import (
-    RootedMap,
-    connected_matching_tags,
-    enumerate_rooted_maps,
-    map_to_connected_matching,
-    marked_word,
-    tail_swap,
-    tail_swap_inverse,
-)
 from .matchings import Matching, WeightScheme
 from .models import (
     associated_hermite,
@@ -35,13 +32,6 @@ from .models import (
 )
 from .moments import inner_product, moment
 from .polynomials import C, Poly, rising_factorial
-from .tableaux import (
-    OscillatingTableau,
-    matching_to_tableau,
-    tableau_to_matching,
-    tableau_weight,
-)
-from .verification import LEVELS, run_all
 
 # Each command refuses sizes past its limit before doing any work.  Times at
 # the limit were taken on Python 3.11, a shared 2-core x86 host, fresh
@@ -98,6 +88,8 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
+    import csv  # only --csv output needs it; see the module docstring
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -273,44 +265,46 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     op = args.operation
     if args.tags and op != "tailswap-inv":
         raise ValueError("--tags applies only to tailswap-inv")
+    from . import maps, tableaux
+
     if op == "tableau":
         m = Matching.from_text(args.value)
         _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
-        t = matching_to_tableau(m)
+        t = tableaux.matching_to_tableau(m)
         _emit_json(
             {
                 "tableau": t.to_text(),
-                "column_weight": tableau_weight(t, "column").to_json_obj(),
-                "row_weight": tableau_weight(t, "row").to_json_obj(),
+                "column_weight": tableaux.tableau_weight(t, "column").to_json_obj(),
+                "row_weight": tableaux.tableau_weight(t, "row").to_json_obj(),
             }
         )
     elif op == "tableau-inv":
-        t = OscillatingTableau.from_text(args.value)
+        t = tableaux.OscillatingTableau.from_text(args.value)
         _check_size("edge count", t.length // 2, _MAX_BIJECTION_EDGES)
-        _emit_json({"matching": tableau_to_matching(t).to_text()})
+        _emit_json({"matching": tableaux.tableau_to_matching(t).to_text()})
     elif op == "tailswap":
         m = Matching.from_text(args.value)
         _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
-        small, tags = tail_swap(m)
+        small, tags = maps.tail_swap(m)
         _emit_json({"matching": small.to_text(), "tags": _edge_texts(tags)})
     elif op == "tailswap-inv":
         m = Matching.from_text(args.value)
         _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
         tags = Matching.from_text(args.tags, n=m.n).edges if args.tags else ()
-        _emit_json({"matching": tail_swap_inverse(m, frozenset(tags)).to_text()})
+        _emit_json({"matching": maps.tail_swap_inverse(m, frozenset(tags)).to_text()})
     elif op == "map-matching":
         try:
             obj = json.loads(args.value)
         except json.JSONDecodeError as exc:
             raise ValueError(f"map argument is not JSON: {exc}")
-        rm = RootedMap.from_json_obj(obj)
+        rm = maps.RootedMap.from_json_obj(obj)
         _check_size("edge count", rm.edge_count, _MAX_BIJECTION_EDGES)
-        cm = map_to_connected_matching(rm)
+        cm = maps.map_to_connected_matching(rm)
         _emit_json(
             {
                 "matching": cm.to_text(),
-                "word": list(marked_word(cm)),
-                "tags": _edge_texts(connected_matching_tags(cm)),
+                "word": list(maps.marked_word(cm)),
+                "tags": _edge_texts(maps.connected_matching_tags(cm)),
                 "weight": rm.weight().to_json_obj(),
             }
         )
@@ -321,17 +315,17 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             raise ValueError(f"quadruples needs an edge count, got {args.value!r}")
         _check_size("edge count", edge_count, _MAX_MAP_EDGES)
         out = []
-        for rm in enumerate_rooted_maps(edge_count):
-            cm = map_to_connected_matching(rm)
-            small, tags = tail_swap(cm)
+        for rm in maps.enumerate_rooted_maps(edge_count):
+            cm = maps.map_to_connected_matching(rm)
+            small, tags = maps.tail_swap(cm)
             out.append(
                 {
                     "map": rm.to_json_obj(),
                     "connected_matching": cm.to_text(),
-                    "word": list(marked_word(cm)),
+                    "word": list(maps.marked_word(cm)),
                     "matching": small.to_text(),
                     "tags": _edge_texts(tags),
-                    "tableau": matching_to_tableau(small).to_text(),
+                    "tableau": tableaux.matching_to_tableau(small).to_text(),
                     "weight": rm.weight().to_json_obj(),
                 }
             )
@@ -340,7 +334,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    reports = run_all(args.level)
+    from . import verification
+
+    reports = verification.run_all(args.level)
     if args.timings:
         for r in reports:
             print(json.dumps(r.to_json_obj(with_timing=True), sort_keys=True), file=sys.stderr)

@@ -7,6 +7,9 @@ All coefficients are fractions.Fraction values, which keeps every identity
 in this package exact; nothing here ever rounds.  A coefficient must be an
 exact rational (any numbers.Rational, int and bool included): a float,
 Decimal or complex raises TypeError instead of being rounded to a fraction.
+An exponent must be an integer (whatever operator.index accepts), and
+`from_json_obj` reads only ints and decimal-integer strings; neither
+truncates a float.
 
 The public constructor checks every term.  The ring operations, shift_c and
 `_gf`, the one fold that sums weights, hand their sums to the private
@@ -28,12 +31,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 from numbers import Rational
+from operator import index
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int]
 # An int row: row[xd][cd] is the coefficient of x^xd c^cd.
 _Row = list[list[int]]
+
+
+def _json_int(record: Mapping, field: str) -> int:
+    """A term record's field: an int, or a decimal-integer string as
+    `to_json_obj` writes it.  Anything else raises ValueError, as malformed
+    input does in every `from_json_obj`, and nothing is truncated."""
+    value = record[field]
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise ValueError(
+        f"term field {field!r} must be an int or a decimal-integer string, got {value!r}"
+    )
 
 
 def _exact(value) -> Fraction:
@@ -54,12 +74,12 @@ class Poly:
         clean: dict[Key, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
-                xd, cd = key
+                xd, cd = map(index, key)
                 if xd < 0 or cd < 0:
                     raise ValueError(f"negative exponent in term {key!r}")
                 q = coeff if type(coeff) is Fraction else _exact(coeff)
                 if q:
-                    clean[(int(xd), int(cd))] = q
+                    clean[(xd, cd)] = q
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -244,10 +264,13 @@ class Poly:
     def from_json_obj(cls, obj: list[dict]) -> "Poly":
         terms: dict[Key, Fraction] = {}
         for record in obj:
-            key = (int(record["xd"]), int(record["cd"]))
+            key = (_json_int(record, "xd"), _json_int(record, "cd"))
             if key in terms:
                 raise ValueError(f"duplicate term {key!r}")
-            terms[key] = Fraction(int(record["num"]), int(record["den"]))
+            den = _json_int(record, "den")
+            if den == 0:
+                raise ValueError(f"zero denominator in term {key!r}")
+            terms[key] = Fraction(_json_int(record, "num"), den)
         return cls(terms)
 
     def __repr__(self) -> str:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
+from . import LEVELS
 from ._history import _paired_rows
 from .linearization import (
     conjecture_sweep,
@@ -797,8 +798,6 @@ DESK_SUITES: tuple[Suite, ...] = (
     suite_conjecture,
     suite_moment_sequence,
 )
-
-LEVELS = ("desk", "extended")
 
 
 def _suites(level: str) -> list[Suite]:

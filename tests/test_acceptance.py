@@ -32,7 +32,7 @@ from unittest.mock import patch
 
 import pytest
 
-from assoc_hermite import cli
+from assoc_hermite import verification
 from assoc_hermite.cli import main
 from assoc_hermite.linearization import conjecture_sweep
 from assoc_hermite.moments import (
@@ -78,9 +78,10 @@ def replay_desk(level: str) -> list[RunReport]:
 @cache
 def desk_output(*flags: str) -> tuple[int, str, str]:
     """Exit status, stdout and stderr of `verify-all --level desk` with the
-    flags, in process; every flag set reports the same run of the suites."""
+    flags, in process; every flag set reports the same run of the suites,
+    which `verify-all` reads from `verification.run_all` when it runs."""
     out, err = io.StringIO(), io.StringIO()
-    with patch.object(cli, "run_all", replay_desk), redirect_stdout(out), redirect_stderr(err):
+    with patch.object(verification, "run_all", replay_desk), redirect_stdout(out), redirect_stderr(err):
         status = main(["verify-all", "--level", "desk", *flags])
     return status, out.getvalue(), err.getvalue()
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assoc_hermite import cli, verification
+from assoc_hermite import cli, maps, verification
 from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
@@ -204,7 +204,8 @@ def test_size_limits_are_checked_before_any_work(capsys, monkeypatch, argv, work
     if work in GENERATORS:
         monkeypatch.setitem(GENERATORS, work, (refuse, GENERATORS[work][1]))
     else:
-        monkeypatch.setattr(cli, work, refuse)
+        # `bijection` imports maps when it runs, and calls maps.tail_swap.
+        monkeypatch.setattr(maps if work == "tail_swap" else cli, work, refuse)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.endswith(", the largest accepted\n")
@@ -472,6 +473,42 @@ def test_tags_apply_only_to_tailswap_inverse(capsys, op, value):
     for text in (value, "x"):
         rc, out, err = run(capsys, "bijection", op, "--tags", "(1,3)", "--", text)
         assert (rc, out, err) == (2, "", "error: --tags applies only to tailswap-inv\n")
+
+
+VERIFY_ALL_USAGE = (
+    "usage: assoc-hermite verify-all [-h] [--csv] [--level {desk,extended}]\n"
+    "                                [--timings]\n"
+)
+
+
+def test_verify_all_help_text_is_pinned(capsys, monkeypatch):
+    # argparse wraps the help to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out == VERIFY_ALL_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --csv                 CSV output instead of JSON\n"
+        "  --level {desk,extended}\n"
+        "  --timings             also write each suite's report with its seconds to\n"
+        "                        standard error\n"
+    )
+
+
+def test_verify_all_refuses_an_unknown_level(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--level", "bogus"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == VERIFY_ALL_USAGE + (
+        "assoc-hermite verify-all: error: argument --level: invalid choice: 'bogus'"
+        " (choose from 'desk', 'extended')\n"
+    )
 
 
 @pytest.mark.parametrize("exc", [ValueError, AssertionError])

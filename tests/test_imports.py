@@ -1,24 +1,23 @@
 """Every name a library or test module imports is used somewhere in that
 module, and the CLI imports no module it does not need.
 
-The package's `__init__.py` imports names only to re-export them, so it is
-not checked.  A name used only in an annotation counts as used, also when
-the annotation is a string.
+A name used only in an annotation counts as used, also when the annotation
+is a string.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    path
-    for path in [*(ROOT / "src" / "assoc_hermite").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
+    [*(ROOT / "src" / "assoc_hermite").glob("*.py"), *(ROOT / "tests").glob("*.py")]
 )
 
 
@@ -87,3 +86,49 @@ def test_verify_all_imports_no_multiprocessing_or_concurrent_futures():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "0 []\n"
+
+
+def test_modules_load_on_first_use():
+    """The package loads no submodule until one of its names is read; a CLI
+    call loads only what its command needs; and the star import still binds
+    exactly the public names, each the object its defining module holds."""
+    code = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import assoc_hermite
+        loaded = sorted(m for m in sys.modules if m.startswith("assoc_hermite."))
+        import assoc_hermite.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["poly", "hermite", "3"])
+        deferred = {"assoc_hermite.verification", "assoc_hermite.maps",
+                    "assoc_hermite.tableaux", "csv"}
+        poly = [status, sorted(deferred & sys.modules.keys())]
+        names = {}
+        exec("from assoc_hermite import *", names)
+        del names["__builtins__"]
+        misplaced = []
+        for name, value in names.items():
+            home = "assoc_hermite." + assoc_hermite._ORIGIN[name]
+            defined_in = getattr(value, "__module__", "")
+            if value is not getattr(sys.modules[home], name) or (
+                defined_in.startswith("assoc_hermite") and defined_in != home
+            ):
+                misplaced.append(name)
+        print(json.dumps({
+            "import assoc_hermite": loaded,
+            "poly hermite 3": poly,
+            "star import": [sorted(names) == sorted(assoc_hermite.__all__), len(names)],
+            "misplaced": misplaced,
+        }))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == {
+        "import assoc_hermite": [],
+        "poly hermite 3": [0, []],
+        "star import": [True, 74],
+        "misplaced": [],
+    }

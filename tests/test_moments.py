@@ -147,6 +147,25 @@ def test_negative_row_sizes_are_refused(n, m):
         _paired_rows((n, m))
 
 
+@pytest.mark.parametrize(
+    "black, green, message",
+    [
+        ((), ((1, 2), (3, 5)), r"^edge \(3,5\) out of range$"),
+        ((), ((0, 1), (2, 3)), r"^edge \(0,1\) out of range$"),
+        (((2, 1),), ((3, 4),), r"^edge \(2,1\) out of range$"),
+        (((1, 2),), ((2, 3),), r"^vertex reused in edge \(2,3\)$"),
+        ((), ((1, 3), (3, 4)), r"^vertex reused in edge \(3,4\)$"),
+        ((), ((1, 4),), "^paired matching must be complete$"),
+        ((), (), "^paired matching must be complete$"),
+    ],
+    ids=["past-the-end", "vertex-zero", "reversed", "black-and-green", "green-twice",
+         "two-left-out", "empty"],
+)
+def test_paired_matching_refuses_edges_that_do_not_pair_every_vertex(black, green, message):
+    with pytest.raises(ValueError, match=message):
+        PairedMatching(2, 2, black, green)
+
+
 def test_flip_candidate_picks_the_leftmost_nest_free_edge():
     # left block of five, right block of three; black (1,5), rest green
     pm = PairedMatching(5, 3, ((1, 5),), ((2, 4), (3, 6), (7, 8)))

@@ -177,7 +177,7 @@ def test_exact_rationals_are_accepted():
     assert Poly.monomial(1, 2, Fraction(3, 4)).terms == {(1, 2): Fraction(3, 4)}
 
 
-@pytest.mark.parametrize("value", [0.1, 0.5, Decimal("0.5"), 1 + 0j])
+@pytest.mark.parametrize("value", [0.1, 0.5, Decimal("0.5"), 1 + 0j, 1.5, 2.9])
 def test_inexact_scalars_are_refused(value):
     with pytest.raises(TypeError, match="not an exact rational"):
         Poly({(0, 0): value})
@@ -193,6 +193,29 @@ def test_inexact_scalars_are_refused(value):
         rising_factorial_value(value, 2)
     with pytest.raises(TypeError, match="not an exact rational"):
         linearization_coefficient_hypergeometric(2, 2, 1, value)
+    # Exponents and JSON fields are refused too, where int() would truncate.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Poly({(value, 0): 1})
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Poly.monomial(2, value, 3)
+    for field in ("xd", "cd", "num", "den"):
+        record = {"xd": 0, "cd": 0, "num": 1, "den": 1, field: value}
+        with pytest.raises(ValueError, match=f"term field '{field}' must be an int or"):
+            Poly.from_json_obj([record])
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "+3", " 3", "1_000", "0x10", "\u0663", "-", ""])
+def test_json_fields_must_be_decimal_integers(text):
+    for field in ("xd", "cd", "num", "den"):
+        record = {"xd": "0", "cd": "0", "num": "1", "den": "1", field: text}
+        with pytest.raises(ValueError, match=f"term field '{field}' must be an int or"):
+            Poly.from_json_obj([record])
+
+
+@pytest.mark.parametrize("den", [0, "0", "-0"], ids=["int", "text", "negative-text"])
+def test_json_zero_denominator_is_a_value_error(den):
+    with pytest.raises(ValueError, match=r"zero denominator in term \(1, 2\)"):
+        Poly.from_json_obj([{"xd": 1, "cd": 2, "num": "3", "den": den}])
 
 
 def test_negative_exponents_are_still_a_value_error():
