@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import LEVELS
-from .linearization import _linearize, _mix, conjecture_sweep, inhomogeneous_gf
+from .linearization import _coefficients, _linearize, _mix, conjecture_sweep, inhomogeneous_gf
 from .matchings import Matching, WeightScheme
 from .models import (
     associated_hermite,
@@ -42,7 +42,8 @@ from .polynomials import C, Poly, rising_factorial
 # (shift_c is a binomial transform on int rows); all peak at 40-81 MB.
 # `linearize` and `mixed` cost about the 4.5th power of n + m, so their total
 # stops where the worst split fits in the budget (`linearize 70 70`: 9.5-13.2 s;
-# `mixed 60 80`: 6.9-9.3 s).  moment(k) enumerates Dyck paths (`moments --upto
+# `mixed 60 80`: 6.9-9.3 s); `linearize --csv` builds only the coefficients
+# (`70 70 --csv`: 0.9-1.3 s).  moment(k) enumerates Dyck paths (`moments --upto
 # 20` and `orthogonality 10 10`: 7.7-10.9 s), and `conjecture` needs
 # moment(sum_max) (`--sum-max 20`: 11.2-13.5 s).  `gf` sums block matchings
 # by a recurrence that drops histories unable to close in time (80 blocks
@@ -169,11 +170,12 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     _check_nonnegative(n=n, m=m)
     _check_size("degree n + m =", n + m, _MAX_PRODUCT_DEGREE)
-    coefficients, lhs, rhs = _linearize(n, m)
     if args.csv:
-        rows = [row for j, p in enumerate(coefficients) for row in _poly_rows(p, [j])]
+        # The CSV form prints only the coefficients, so it builds no product.
+        rows = [row for j, p in enumerate(_coefficients(n, m)) for row in _poly_rows(p, [j])]
         _emit_csv(["j", "xd", "cd", "num", "den"], rows)
         return 0
+    coefficients, lhs, rhs = _linearize(n, m)
     _emit_json(
         {
             "n": n,

@@ -87,9 +87,14 @@ def _expansion(coefficients: list[Poly], top: int) -> Poly:
     )
 
 
+def _coefficients(N: int, M: int) -> list[Poly]:
+    """The linearization coefficients of H_N H_M for j = 0..min(N,M)."""
+    return [linearization_coefficient(N, M, j) for j in range(min(N, M) + 1)]
+
+
 def _linearize(N: int, M: int) -> tuple[list[Poly], Poly, Poly]:
     """The coefficients for j = 0..min(N,M), H_N H_M, and their expansion."""
-    coefficients = [linearization_coefficient(N, M, j) for j in range(min(N, M) + 1)]
+    coefficients = _coefficients(N, M)
     lhs = associated_hermite(N) * associated_hermite(M)
     return coefficients, lhs, _expansion(coefficients, N + M)
 

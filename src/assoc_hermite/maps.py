@@ -239,8 +239,7 @@ def connected_matching_weight(m: Matching) -> Poly:
 
 
 def _crossing_count(edges: list[Edge]) -> int:
-    # Each tail swap's first state is new, so the sweep bypasses the masks' cache.
-    return sum(mask.bit_count() for mask in _relation_masks.__wrapped__(sorted(edges))[2])
+    return sum(mask.bit_count() for mask in _relation_masks(tuple(sorted(edges)))[2])
 
 
 def _crossings_with(edge: Edge, edges: list[Edge]) -> int:

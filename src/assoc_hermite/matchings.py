@@ -190,8 +190,7 @@ def _relation_masks(edges: tuple[Edge, ...]) -> tuple[Masks, Masks, Masks]:
     colourings of one paired matching, or a weight and the edge statistics
     of one matching.  Enumerations that move on to a new matching every
     call only miss, so the bound is small: a 300-edge matching and its
-    masks take about 80 kB.  A caller whose every call is new, such as the
-    states of a tail swap, calls the sweep itself, `__wrapped__`."""
+    masks take about 80 kB."""
     k = len(edges)
     nests = [0] * k
     left = [0] * k

@@ -134,9 +134,11 @@ class Poly:
 
     @staticmethod
     def _coerce(value) -> "Poly | None":
+        """A Poly for the scalars the constructor takes (int and Fraction,
+        tested first, then any numbers.Rational); None for anything else."""
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction, Rational)):
             return Poly.constant(value)
         return None
 
@@ -213,25 +215,23 @@ class Poly:
     # ----- transforms -----
 
     def evaluate(self, x_value: Scalar = 0, c_value: Scalar = 0) -> Fraction:
-        """The value at x = x_value, c = c_value.  At integer points the
-        terms are summed as integers over their common denominator, and
-        one Fraction is built at the end."""
+        """The value at x = a/b, c = p/q, summed as integers over one common
+        denominator and made a Fraction at the end: with X and K the top
+        degrees in x and c, each term is scaled by b^(X-xd) q^(K-cd)."""
         xv = _exact(x_value)
         cv = _exact(c_value)
-        if xv.denominator == 1 and cv.denominator == 1:
-            xi, ci = xv.numerator, cv.numerator
-            den = lcm(*(q.denominator for q in self.terms.values()))
-            return Fraction(
-                sum(
-                    q.numerator * (den // q.denominator) * xi**xd * ci**cd
-                    for (xd, cd), q in self.terms.items()
-                ),
-                den,
-            )
-        total = Fraction(0)
-        for (xd, cd), q in self.terms.items():
-            total += q * xv**xd * cv**cd
-        return total
+        a, b = xv.numerator, xv.denominator
+        p, q = cv.numerator, cv.denominator
+        top_x, top_c = map(max, zip((0, 0), *self.terms))
+        den = lcm(*(r.denominator for r in self.terms.values()))
+        return Fraction(
+            sum(
+                r.numerator * (den // r.denominator)
+                * a**xd * b ** (top_x - xd) * p**cd * q ** (top_c - cd)
+                for (xd, cd), r in self.terms.items()
+            ),
+            den * b**top_x * q**top_c,
+        )
 
     def shift_c(self) -> "Poly":
         """Substitute c -> c + 1 on int rows: scaled to their common

@@ -27,19 +27,6 @@ def _is_partition(shape: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(shape, shape[1:])) and all(a > 0 for a in shape)
 
 
-def _step(prev: Partition, cur: Partition) -> tuple[int, int]:
-    """The direction and row of a step: (+1, row) for one box added in that
-    row, (-1, row) for one removed, and (0, -1) for anything else."""
-    diffs = [
-        (b - a, row)
-        for row, (a, b) in enumerate(zip_longest(prev, cur, fillvalue=0))
-        if a != b
-    ]
-    if len(diffs) == 1 and abs(diffs[0][0]) == 1:
-        return diffs[0]
-    return 0, -1
-
-
 class OscillatingTableau(_Record):
     """A sequence of partitions changing by one box, empty to empty."""
 
@@ -56,7 +43,7 @@ class OscillatingTableau(_Record):
             if not _is_partition(s):
                 raise ValueError(f"{s!r} is not a partition")
         for prev, cur in zip(shapes, shapes[1:]):
-            if _step(prev, cur)[0] == 0:
+            if sum(abs(a - b) for a, b in zip_longest(prev, cur, fillvalue=0)) != 1:
                 raise ValueError(f"step {prev!r} -> {cur!r} is not a single box")
 
     @property
@@ -167,9 +154,10 @@ def _reverse_insert(rows: list[list[int]], row_index: int) -> tuple[int, int]:
 
 
 def _walk_step(prev: Partition, cur: Partition) -> tuple[int, int]:
-    """_step for a step known to move one box.  Compared as tuples, the
-    shape with the box is the bigger one, and the box's row is the first
-    in which the two differ."""
+    """The direction and row of a step that moves one box: (+1, row) for a
+    box added in that row, (-1, row) for one removed.  Compared as tuples,
+    the shape with the box is the bigger one, and the box's row is the
+    first in which the two differ."""
     row = 0
     for a, b in zip(prev, cur):
         if a != b:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assoc_hermite import cli, maps, verification
+from assoc_hermite import cli, linearization, maps, verification
 from assoc_hermite.cli import BIJECTIONS, GENERATORS, main
 from assoc_hermite.models import associated_hermite
 from assoc_hermite.moments import moment
@@ -335,6 +335,20 @@ def test_linearize(capsys):
     assert len(doc["terms"]) == 2
     rc, out, _ = run(capsys, "linearize", "2", "1", "--csv")
     assert out.splitlines()[0] == "j,xd,cd,num,den"
+
+
+def test_linearize_csv_builds_no_product(capsys, monkeypatch):
+    # The CSV form prints only the coefficients: neither H_N H_M nor the
+    # expansion is needed, so making both raise leaves its bytes alone.
+    _, expected, _ = run(capsys, "linearize", "5", "3", "--csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV form built a product")
+
+    monkeypatch.setattr(linearization, "associated_hermite", refuse)
+    monkeypatch.setattr(linearization, "_expansion", refuse)
+    rc, out, err = run(capsys, "linearize", "5", "3", "--csv")
+    assert (rc, out, err) == (0, expected, "")
 
 
 def test_mixed(capsys):

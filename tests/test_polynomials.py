@@ -177,6 +177,38 @@ def test_exact_rationals_are_accepted():
     assert Poly.monomial(1, 2, Fraction(3, 4)).terms == {(1, 2): Fraction(3, 4)}
 
 
+def test_any_exact_rational_is_a_scalar_of_the_ring():
+    # sympy's Integer and Rational register as numbers.Rational, so the
+    # ring operations take them as the constructor does.
+    three, half = sympy.Integer(3), sympy.Rational(1, 2)
+    assert Poly({(0, 0): three}) == Poly.constant(3)
+    assert Poly.constant(three) == three
+    assert C * three == three * C == Poly.monomial(0, 1, 3)
+    assert C + half == half + C == C + Fraction(1, 2)
+    assert C - half == -(half - C) == C - Fraction(1, 2)
+    assert_canonical(C * three)
+    assert_canonical(C + half)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, Decimal("0.5"), 1 + 0j, sympy.Float(0.5)],
+    ids=["float", "Decimal", "complex", "sympy-Float"],
+)
+def test_ring_operations_refuse_inexact_scalars(value):
+    for operation in (
+        lambda: C * value,
+        lambda: value * C,
+        lambda: C + value,
+        lambda: value + C,
+        lambda: C - value,
+        lambda: value - C,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert (C == value) is False
+
+
 @pytest.mark.parametrize("value", [0.1, 0.5, Decimal("0.5"), 1 + 0j, 1.5, 2.9])
 def test_inexact_scalars_are_refused(value):
     with pytest.raises(TypeError, match="not an exact rational"):
@@ -258,6 +290,21 @@ def test_arithmetic_matches_sympy(p, q, k, point):
     x, c = point
     value = sympy.Rational(sp.as_expr().subs({x_sym: x, c_sym: c}))
     assert p.evaluate(x, c) == Fraction(int(value.p), int(value.q))
+
+
+rational_points = st.tuples(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@given(polys, rational_points)
+def test_evaluate_at_rational_points_matches_the_term_sum(p, point):
+    x, c = point
+    expected = sum((q * x**xd * c**cd for (xd, cd), q in p.terms.items()), Fraction(0))
+    value = p.evaluate(x, c)
+    assert type(value) is Fraction and value == expected
+    assert Poly.zero().evaluate(x, c) == 0
 
 
 # Int coefficient lists in c with zeros, and int rows with empty columns.

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from assoc_hermite.tableaux import (
     OscillatingTableau,
     _edge_labels,
     _label_depths,
-    _step,
     _walk_back,
     _walk_step,
     enumerate_tableaux,
@@ -205,9 +206,6 @@ def test_backward_walk_retraces_the_forward_fillings():
             assert _label_depths(t) == scan_label_depths(fillings)
             weights = (tableau_weight(t, "column"), tableau_weight(t, "row"))
             assert weights == forward_tableau_weights(fillings)
-            for prev, cur in zip(t.shapes, t.shapes[1:]):
-                assert _walk_step(prev, cur) == _step(prev, cur)
-                assert _walk_step(cur, prev) == _step(cur, prev)
             count += 1
     assert count == 11465
 
@@ -221,7 +219,8 @@ def test_depth_tracking_and_step_reading_match_the_scans_past_twelve(m):
     t = matching_to_tableau(m)
     assert _label_depths(t) == scan_label_depths(forward_fillings(m))
     for prev, cur in zip(t.shapes, t.shapes[1:]):
-        assert _walk_step(prev, cur) == _step(prev, cur)
+        expected = (reference_step_size(prev, cur), reference_step_row(prev, cur))
+        assert _walk_step(prev, cur) == expected
 
 
 def test_step_matches_the_size_and_row_scans():
@@ -230,19 +229,37 @@ def test_step_matches_the_size_and_row_scans():
         for t in enumerate_tableaux(length):
             for prev, cur in zip(t.shapes, t.shapes[1:]):
                 pairs.update({(prev, cur), (cur, prev)})
+    assert len(pairs) == 2 * 14  # every edge of Young's lattice up to four boxes
     for prev, cur in pairs:
         direction = reference_step_size(prev, cur)
         assert direction != 0
-        assert _step(prev, cur) == (direction, reference_step_row(prev, cur))
-    invalid = [
-        ((2, 1), (3, 2)),  # two boxes change
-        ((1, 1), (2, 2)),
-        ((2, 1), (2, 1)),  # equal shapes
-        ((), ()),
-        ((2,), (2, 2)),  # a new row whose last part is bigger than 1
-        ((3, 2), (3,)),
-        ((), (2,)),
+        assert _walk_step(prev, cur) == (direction, reference_step_row(prev, cur))
+
+
+def grown(shape):
+    """The shapes from the empty one to the given one, a box at a time, row by row."""
+    return [()] + [
+        shape[:row] + (width,) for row in range(len(shape)) for width in range(1, shape[row] + 1)
     ]
-    for prev, cur in invalid:
-        assert reference_step_size(prev, cur) == 0
-        assert _step(prev, cur) == (0, -1)
+
+
+INVALID_STEPS = [
+    ((2, 1), (3, 2)),  # two boxes change
+    ((1, 1), (2, 2)),
+    ((2, 1), (2, 1)),  # equal shapes
+    ((), ()),
+    ((2,), (2, 2)),  # a new row whose last part is bigger than 1
+    ((3, 2), (3,)),
+    ((), (2,)),
+]
+
+
+@pytest.mark.parametrize("prev, cur", INVALID_STEPS)
+def test_a_step_of_more_or_less_than_one_box_is_refused(prev, cur):
+    # A walk from the empty shape up to prev, over to cur and back down is
+    # valid everywhere but at the one step prev -> cur.
+    shapes = grown(prev) + grown(cur)[::-1]
+    assert reference_step_size(prev, cur) == 0
+    message = f"step {prev!r} -> {cur!r} is not a single box"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OscillatingTableau(tuple(shapes))
