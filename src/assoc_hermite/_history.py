@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .matchings import _MIRROR, WeightScheme
+from .matchings import _MIRROR, WeightScheme, _exact_sizes
 from .polynomials import Poly, _add_scaled
 
 _States = dict[tuple[int, ...], list[int]]
@@ -121,11 +121,6 @@ def _blockwise(sizes: Sequence[int], boundary: Callable, moves: Callable) -> Pol
     return Poly._from_rows([states.get((0, 0, 0), [])])
 
 
-def _check_rows(rows: Sequence[int]) -> None:
-    if any(n < 0 for n in rows):
-        raise ValueError("row sizes must be nonnegative")
-
-
 def _paired_rows(rows: Sequence[int]) -> Poly:
     """The sum of the signed paired-matching weights on consecutive rows.
 
@@ -137,7 +132,7 @@ def _paired_rows(rows: Sequence[int]) -> Poly:
     green close weighs c + g - 1; only the r newest black arcs enclose no
     close or green opening and weigh -c, so a black close -(r c + k - r).
     """
-    _check_rows(rows)
+    rows = _exact_sizes(rows, "row")
 
     def moves(state, left):
         g, k, r = state

@@ -20,7 +20,7 @@ import sys
 
 from . import LEVELS
 from .linearization import _coefficients, _linearize, _mix, conjecture_sweep, inhomogeneous_gf
-from .matchings import Matching, WeightScheme
+from .matchings import Blocks, Matching, WeightScheme
 from .models import (
     associated_hermite,
     associated_hermite_matchings,
@@ -247,13 +247,10 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
         raise ValueError(f"sizes must be comma-separated integers, got {args.sizes!r}")
-    # inhomogeneous_gf answers an odd total with zero before it checks the
-    # blocks, so a negative size is refused here, as is a negative total.
-    if any(s < 0 for s in sizes):
-        raise ValueError("block sizes must be nonnegative")
-    _check_size("block total", sum(sizes), _MAX_BLOCK_TOTAL)
+    blocks = Blocks(sizes)
+    _check_size("block total", blocks.total, _MAX_BLOCK_TOTAL)
     scheme = WeightScheme(args.scheme)
-    value = inhomogeneous_gf(sizes, scheme)
+    value = inhomogeneous_gf(blocks.sizes, scheme)
     if args.csv:
         _emit_csv(["xd", "cd", "num", "den"], _poly_rows(value))
     else:

@@ -155,10 +155,10 @@ def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:
     counts alone, so the sum costs time polynomial in the total.  The
     tests check it against `enumerate_inhomogeneous` summed with `weight`.
     """
-    sizes = tuple(sizes)
-    if sum(sizes) % 2:
+    blocks = Blocks(sizes)
+    if blocks.total % 2:
         return Poly.zero()
-    return _histories(Blocks(sizes).sizes, scheme)
+    return _histories(blocks.sizes, scheme)
 
 
 class ConjectureReport(_Record):
@@ -168,17 +168,15 @@ class ConjectureReport(_Record):
     rhs: Poly
 
 
-def conjecture_check(ns: Sequence[int], *, arrange: bool = True) -> ConjectureReport:
+def conjecture_check(ns: Sequence[int]) -> ConjectureReport:
     """Compare the product functional with the no-right-crossing matching sum.
 
-    By default blocks are arranged weakly increasing by size; ties among
-    equal sizes do not matter, since permuting equal-size blocks leaves the
-    ordered size tuple unchanged.  Pass arrange=False to keep the given
-    order, which is how the order-sensitivity experiments (say comparing
-    (3,4,3) against (3,3,4)) are run.  The functional side is symmetric in
-    the blocks; only the matching side feels the arrangement.
+    The blocks are sorted weakly increasing by size; permuting equal sizes
+    leaves the size tuple unchanged.  Only the matching side feels the
+    order, so another one, say (3,4,3) for (3,3,4), is compared by calling
+    product_functional and inhomogeneous_gf directly.
     """
-    sizes = tuple(sorted(ns)) if arrange else tuple(ns)
+    sizes = tuple(sorted(ns))
     if any(n < 1 for n in sizes):
         raise ValueError("block sizes must be positive")
     lhs = product_functional(sizes)

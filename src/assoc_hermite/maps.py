@@ -271,7 +271,8 @@ def _swap_states(m: Matching) -> Iterator[tuple[list[Edge], Edge, set[Edge], int
         if not crossers:
             return
         chosen = min(crossers)
-        assert chosen in tags, f"untagged crossing edge {chosen!r}"
+        if chosen not in tags:
+            raise AssertionError(f"untagged crossing edge {chosen!r}")
         a, b = chosen
         edges.remove(chosen)
         tags.remove(chosen)
@@ -280,7 +281,8 @@ def _swap_states(m: Matching) -> Iterator[tuple[list[Edge], Edge, set[Edge], int
             _crossings_with((1, b), edges) + _crossings_with((a, f), edges)
             - _crossings_with(marker, edges) - _crossings_with(chosen, edges) - 1
         )
-        assert crossings < before, "crossings did not drop"
+        if crossings >= before:
+            raise AssertionError("crossings did not drop")
         edges.append((a, f))
         tags.add((a, f))
         marker = (1, b)
@@ -305,7 +307,8 @@ def tail_swap(m: Matching) -> tuple[Matching, frozenset[Edge]]:
         raise ValueError("needs at least one edge")
     for edges, marker, tags, _ in _swap_states(m):
         pass
-    assert marker == (1, m.n), "marker did not reach the last vertex"
+    if marker != (1, m.n):
+        raise AssertionError("marker did not reach the last vertex")
     return (
         Matching(m.n - 2, tuple((a - 1, b - 1) for a, b in edges)),
         frozenset((a - 1, b - 1) for a, b in tags),

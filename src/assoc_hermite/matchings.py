@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Container, Iterator, Sequence
 
 from .polynomials import Poly
@@ -311,15 +311,22 @@ def enumerate_incomplete(n: int) -> Iterator[Matching]:
         yield _trusted(Matching, n=n, edges=edges)
 
 
+def _exact_sizes(sizes: Sequence[int], what: str) -> tuple[int, ...]:
+    """The sizes of blocks or rows (what) as exact ints.  operator.index
+    refuses an inexact size, such as a float, rather than rounding it."""
+    exact = tuple(map(index, sizes))
+    if any(s < 0 for s in exact):
+        raise ValueError(f"{what} sizes must be nonnegative")
+    return exact
+
+
 class Blocks(_Record):
     """Consecutive blocks partitioning {1, ..., total}; sizes in given order."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("block sizes must be nonnegative")
+        object.__setattr__(self, "sizes", _exact_sizes(self.sizes, "block"))
 
     @property
     def total(self) -> int:

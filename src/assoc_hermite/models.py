@@ -83,7 +83,11 @@ _ASSOCIATED, _HERMITE, _CHEBYSHEV = (_new_table() for _ in range(3))
 
 def associated_hermite(n: int) -> Poly:
     """H_n(x; c) from the three-term recurrence."""
-    return _three_term(_ASSOCIATED, lambda k: (k - 2, 1), n)
+    return _three_term(_ASSOCIATED, _associated_b, n)
+
+
+def _associated_b(k: int) -> tuple[int, int]:
+    return k - 2, 1
 
 
 def _hermite_b(k: int) -> tuple[int, int]:

@@ -20,16 +20,17 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
-from ._history import _check_rows, _histories
+from ._history import _histories
 from .matchings import (
     Edge,
     WeightScheme,
     _Record,
+    _exact_sizes,
     _relation_masks,
     _trusted,
     enumerate_complete,
 )
-from .models import associated_hermite
+from .models import _associated_b, associated_hermite
 from .polynomials import C, Poly, _gf
 
 DyckPath = tuple[int, ...]
@@ -77,8 +78,8 @@ def moment(n: int) -> Poly:
         raise ValueError("moment index must be nonnegative")
     if n % 2:
         return Poly.zero()
-    # The weight c + j - 1 of a down step from each height j a path reaches.
-    down = [C + (j - 1) for j in range(n // 2 + 1)]
+    # A down step from height j weighs the recurrence's b(j + 1) = c + j - 1.
+    down = [b1 * C + b0 for b0, b1 in map(_associated_b, range(1, n // 2 + 2))]
     return _gf(enumerate_dyck_paths(n), lambda path: _path_weight(path, down))
 
 
@@ -127,7 +128,7 @@ class PairedMatching(_Record):
     green: tuple[Edge, ...]
 
     def __post_init__(self):
-        _check_rows((self.n, self.m))
+        _exact_sizes((self.n, self.m), "row")
         object.__setattr__(self, "black", tuple(sorted(self.black)))
         object.__setattr__(self, "green", tuple(sorted(self.green)))
         total = self.n + self.m
@@ -173,7 +174,7 @@ def enumerate_paired(n: int, m: int) -> Iterator[PairedMatching]:
     Every complete matching of the n + m vertices is colored in all ways
     that keep black edges homogeneous.  An odd total yields nothing.
     """
-    _check_rows((n, m))
+    n, m = _exact_sizes((n, m), "row")
     total = n + m
     if total % 2:
         return

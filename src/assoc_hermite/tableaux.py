@@ -51,8 +51,14 @@ class OscillatingTableau(_Record):
         return len(self.shapes) - 1
 
     def to_text(self) -> str:
+        """The shapes joined by ";", "-" for the empty one.  A shape whose
+        parts are all at most 9 is its digits ("21"); any other shape ends
+        each part with "," ("10,1,"), so no part is misread as two."""
+
         def one(s: Partition) -> str:
-            return "".join(str(part) for part in s) if s else "-"
+            if not s:
+                return "-"
+            return "".join(map(str, s)) if s[0] <= 9 else "".join(f"{part}," for part in s)
 
         return ";".join(one(s) for s in self.shapes)
 
@@ -61,6 +67,7 @@ class OscillatingTableau(_Record):
 
     @classmethod
     def from_text(cls, text: str) -> "OscillatingTableau":
+        """Read the form to_text writes; a shape may take either form."""
         shapes = []
         for chunk in text.strip().split(";"):
             chunk = chunk.strip()
@@ -68,6 +75,8 @@ class OscillatingTableau(_Record):
                 shapes.append(())
             elif re.fullmatch(r"\d+", chunk):
                 shapes.append(tuple(int(d) for d in chunk))
+            elif re.fullmatch(r"(\d+,)+", chunk):
+                shapes.append(tuple(int(part) for part in chunk[:-1].split(",")))
             else:
                 raise ValueError(f"bad shape {chunk!r}")
         return cls(tuple(shapes))

@@ -504,8 +504,8 @@ def _tableau_part(rec: RunReport) -> None:
     row_gfs = {}
     tableau_of = {}
     for half in range(6):
-        row_gf = Poly.zero()
-        for m in enumerate_complete(2 * half):
+        matchings = list(enumerate_complete(2 * half))
+        for m in matchings:
             t = tableau_of[m] = matching_to_tableau(m)
             rec.check("tableau round trip {}", tableau_to_matching(t), m, m)
             rec.check(
@@ -514,8 +514,7 @@ def _tableau_part(rec: RunReport) -> None:
                 weight(m, WeightScheme.MOMENT_NONNESTED),
                 m,
             )
-            row_gf = row_gf + tableau_weight(t, "row")
-        row_gfs[half] = row_gf
+        row_gfs[half] = _gf(matchings, lambda m: tableau_weight(tableau_of[m], "row"))
     for half, pinned in (
         (0, {(0, 0): 1}),
         (1, {(0, 1): 1}),
@@ -594,10 +593,8 @@ def _map_part(rec: RunReport) -> None:
     for e_count, expected_count in ((0, 1), (1, 2), (2, 10), (3, 74)):
         maps = list(enumerate_rooted_maps(e_count))
         rec.check("rooted maps with {} edges", len(maps), expected_count, e_count)
-        gf = Poly.zero()
         traversals = set()
         for rm in maps:
-            gf = gf + rm.weight()
             rec.check(lambda: f"canonical form is stable: {rm.to_json_obj()}", rm.canonical(), rm)
             cm = map_to_connected_matching(rm)
             rec.ensure(lambda: f"traversal of {rm.to_json_obj()} is connected", is_connected(cm))
@@ -616,7 +613,7 @@ def _map_part(rec: RunReport) -> None:
         )
         rec.check(
             "rooted-map generating function, {} edges",
-            gf,
+            _gf(maps, RootedMap.weight),
             moment(2 * e_count).shift_c(),
             e_count,
         )

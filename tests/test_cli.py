@@ -400,6 +400,17 @@ def test_bijection_tableau_round_trip(capsys):
     assert json.loads(out) == {"matching": "(1,3)(2,6)(4,8)(5,7)"}
 
 
+@pytest.mark.parametrize("edges", [10, 11, 300])
+def test_bijection_tableau_text_round_trips_past_nine_boxes_a_row(capsys, edges):
+    nested = "".join(f"({i},{2 * edges + 1 - i})" for i in range(1, edges + 1))
+    rc, out, _ = run(capsys, "bijection", "tableau", nested)
+    assert rc == 0
+    tableau = json.loads(out)["tableau"]
+    assert run(capsys, "bijection", "tableau-inv", "--", tableau) == (
+        0, json.dumps({"matching": nested}) + "\n", ""
+    )
+
+
 def test_bijection_map_matching(capsys):
     payload = json.dumps(
         {

@@ -15,6 +15,7 @@ from assoc_hermite.linearization import (
     linearization_coefficient_hypergeometric,
     mixed_coefficient,
     mixed_residual,
+    product_functional,
     verify_linearization,
     verify_mixed,
 )
@@ -26,6 +27,8 @@ from assoc_hermite.matchings import (
 )
 from assoc_hermite.models import associated_hermite, usual_hermite
 from assoc_hermite.polynomials import C, Poly, _gf
+
+NO_RIGHT_CROSSING = WeightScheme.MOMENT_NO_RIGHT_CROSSING
 
 
 def poly_from_descending(coeffs: list[int]) -> Poly:
@@ -71,19 +74,9 @@ def test_mixed_expansion_small_instance():
     rhs = associated_hermite(3) + (C + 1) * associated_hermite(1)
     assert lhs == rhs
     assert verify_mixed(2, 1)
-
-
-def test_mixed_expansion_validity_range():
-    for n in range(9):
-        for m in range(9):
-            if n >= m - 1:
-                assert verify_mixed(n, m)
-    # Outside the range the expansion genuinely misses.
-    assert mixed_residual(0, 2) == 1 - C
+    # Outside the range n >= m - 1 the expansion misses, by a residual that
+    # vanishes at c = 1, where the two families coincide.
     assert mixed_residual(1, 3) == C - C**2
-    # Both residuals vanish where the two families coincide.
-    assert mixed_residual(0, 2).evaluate(0, 1) == 0
-    assert mixed_residual(1, 3).evaluate(0, 1) == 0
 
 
 def enumerated_gf(sizes: tuple[int, ...], scheme: WeightScheme) -> Poly:
@@ -138,18 +131,25 @@ def test_histories_match_enumeration(sizes, scheme):
 
 def test_inhomogeneous_gf_error_contract():
     scheme = WeightScheme.MOMENT_NONNESTED
-    # An odd total is zero before the sizes are validated...
-    assert inhomogeneous_gf((-1, 2), scheme).is_zero()
-    # ...and negative sizes are refused; no total is too large, since
-    # nothing is enumerated.
-    with pytest.raises(ValueError, match="block sizes must be nonnegative"):
-        inhomogeneous_gf((-2, 20), scheme)
+    # Negative sizes are refused, whatever the parity of the total...
+    for sizes in ((-1, 2), (-2, 20)):
+        with pytest.raises(ValueError, match="^block sizes must be nonnegative$"):
+            inhomogeneous_gf(sizes, scheme)
+    # ...an odd total is zero, and no total is too large, since nothing is
+    # enumerated.
+    assert inhomogeneous_gf((1, 2), scheme).is_zero()
     assert inhomogeneous_gf((9, 9), scheme).evaluate(c_value=1) == factorial(9)
 
 
 def test_conjecture_check_rejects_bad_sizes():
     with pytest.raises(ValueError):
         conjecture_check((0, 2))
+
+
+def test_conjecture_check_always_sorts_the_blocks():
+    assert conjecture_check((3, 2, 2, 3)).sizes == (2, 2, 3, 3)
+    with pytest.raises(TypeError):
+        conjecture_check((3, 2, 2, 3), arrange=False)
 
 
 def test_conjecture_control_cases_match():
@@ -160,15 +160,16 @@ def test_conjecture_control_cases_match():
 
 
 def test_arrangement_rescues_2233():
-    # Keeping the given order, (3,2,2,3) does satisfy the identity even
-    # though the sorted arrangement (2,2,3,3) does not.
-    report = conjecture_check((3, 2, 2, 3), arrange=False)
-    assert report.sizes == (3, 2, 2, 3)
-    assert report.match
+    # The order (3,2,2,3) does satisfy the identity even though the sorted
+    # arrangement (2,2,3,3) does not.
+    sizes = (3, 2, 2, 3)
+    assert product_functional(sizes) == inhomogeneous_gf(sizes, NO_RIGHT_CROSSING)
+    assert not conjecture_check(sizes).match
 
 
 def test_no_arrangement_rescues_1333():
     seen = set(permutations((1, 3, 3, 3)))
     assert len(seen) == 4
+    lhs = product_functional((1, 3, 3, 3))
     for sizes in sorted(seen):
-        assert not conjecture_check(sizes, arrange=False).match
+        assert lhs != inhomogeneous_gf(sizes, NO_RIGHT_CROSSING), sizes

@@ -1,7 +1,11 @@
 """Tests for rooted one-vertex-marked maps and the tail swap bijection."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,37 @@ def test_swap_states_count_crossings_as_the_sweep_does(matchings, states):
             assert crossings == maps._crossing_count(edges + [marker]), (m, marker)
             seen += 1
     assert seen == states
+
+
+# Each stub breaks one invariant the tail swap checks, on a matching it
+# reaches.  A swap asks for the crossings of its two new edges, then of the
+# two old ones, so answering 1, 1, 0, 0 makes every swap add a crossing.
+BROKEN_INVARIANTS = {
+    "untagged crossing edge (2, 4)": (
+        "(1,3)(2,4)", "maps.connected_matching_tags = lambda m: frozenset()"
+    ),
+    "crossings did not drop": (
+        "(1,3)(2,4)",
+        "import itertools\n"
+        "answers = itertools.cycle((1, 1, 0, 0))\n"
+        "maps._crossings_with = lambda edge, edges: next(answers)",
+    ),
+    "marker did not reach the last vertex": ("(1,2)(3,4)", "maps.is_connected = lambda m: True"),
+}
+
+
+@pytest.mark.parametrize("message", BROKEN_INVARIANTS)
+def test_tail_swap_checks_its_invariants_under_python_O(message):
+    matching, stub = BROKEN_INVARIANTS[message]
+    code = (
+        "from assoc_hermite import maps\n"
+        "from assoc_hermite.matchings import Matching\n"
+        f"{stub}\n"
+        f"maps.tail_swap(Matching.from_text({matching!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(maps.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 1
+    assert out.stderr.endswith(f"AssertionError: {message}\n"), out.stderr

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from assoc_hermite._history import _paired_rows
+from assoc_hermite.linearization import inhomogeneous_gf
 from assoc_hermite.matchings import (
     Blocks,
     EdgeStats,
@@ -242,6 +244,37 @@ def test_blocks_partition_vertices():
     assert [b.block_of(v) for v in range(1, 7)] == [0, 0, 1, 1, 1, 2]
     with pytest.raises(ValueError):
         b.block_of(7)
+
+
+# Each entry point that takes block or row sizes, with sizes that are not
+# exact ints; none may round them to the ints below.
+INEXACT_SIZES = {
+    "Blocks": lambda: Blocks((2.7, 1.3)),
+    "inhomogeneous_gf": lambda: inhomogeneous_gf((2.5, 1.5), WeightScheme.MOMENT_NONNESTED),
+    "PairedMatching": lambda: PairedMatching(2.0, 0, ((1, 2),), ()),
+    "enumerate_paired": lambda: list(enumerate_paired(0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("call", INEXACT_SIZES.values(), ids=INEXACT_SIZES)
+def test_inexact_sizes_are_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Blocks((1, -1)), "block sizes must be nonnegative"),
+        (lambda: PairedMatching(-1, 1, (), ()), "row sizes must be nonnegative"),
+        (lambda: list(enumerate_paired(2, -2)), "row sizes must be nonnegative"),
+        (lambda: _paired_rows((1, -1)), "row sizes must be nonnegative"),
+    ],
+    ids=["Blocks", "PairedMatching", "enumerate_paired", "_paired_rows"],
+)
+def test_negative_sizes_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_inhomogeneous_enumeration_count():

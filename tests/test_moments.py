@@ -1,11 +1,14 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
+from assoc_hermite import moments
 from assoc_hermite._history import _paired_rows
 from assoc_hermite.linearization import product_functional
 from assoc_hermite.matchings import WeightScheme, enumerate_complete
+from assoc_hermite.models import _hermite_b
 from assoc_hermite.moments import (
     PairedMatching,
     cycle_count,
@@ -29,17 +32,16 @@ def test_dyck_path_counts():
     ]
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        WeightScheme.MOMENT_NONNESTED,
-        WeightScheme.MOMENT_NO_RIGHT_CROSSING,
-        WeightScheme.MOMENT_NO_LEFT_CROSSING,
-    ],
-)
-def test_all_three_matching_routes_agree(scheme):
-    for n in range(11):
-        assert moment_via_matchings(n, scheme) == moment(n)
+def test_moment_reads_the_family_rule(monkeypatch):
+    # Under the usual Hermite rule b(k) = k - 1 a down step from height j
+    # weighs j, and the moments are those of the Gaussian, (2k - 1)!!.
+    moment.cache_clear()
+    monkeypatch.setattr(moments, "_associated_b", _hermite_b)
+    try:
+        for k in range(6):
+            assert moment(2 * k) == Poly.constant(prod(range(1, 2 * k, 2))), k
+    finally:
+        moment.cache_clear()
 
 
 def test_negative_indices_are_refused():

@@ -71,7 +71,7 @@ def test_worked_instance_weights():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "1;-", "-;1", "-;3;-", "-;1;1;-", "-;21;-"],
+    ["", "1;-", "-;1", "-;3;-", "-;1;1;-", "-;21;-", "-;1,1;-", "-;,;-"],
 )
 def test_from_text_rejects_bad_walks(text):
     with pytest.raises(ValueError):
@@ -83,6 +83,29 @@ def test_a_walk_needs_a_shape_and_prints_as_its_text():
         OscillatingTableau(())
     t = matching_to_tableau(WORKED)
     assert str(t) == t.to_text() == "-;1;11;1;11;21;2;1;-"
+
+
+def test_text_round_trips_on_every_walk_up_to_length_ten():
+    walks = [t for length in range(0, 11, 2) for t in enumerate_tableaux(length)]
+    assert len(walks) == 1070
+    for t in walks:
+        assert OscillatingTableau.from_text(t.to_text()) == t
+
+
+def test_rows_of_ten_or_more_boxes_end_each_part_with_a_comma():
+    # The nested matching (1,22)(2,21)...(11,12) grows one row to 11 boxes;
+    # read one digit a part, "11" would be the shape (1, 1).
+    nested = Matching(22, tuple((i, 23 - i) for i in range(1, 12)))
+    text = matching_to_tableau(nested).to_text()
+    assert text == "-;1;2;3;4;5;6;7;8;9;10,;11,;10,;9;8;7;6;5;4;3;2;1;-"
+    assert tableau_to_matching(OscillatingTableau.from_text(text)) == nested
+    text = "-;1;2;3;4;5;6;7;8;9;10,;10,1,;10,;9;8;7;6;5;4;3;2;1;-"
+    assert OscillatingTableau.from_text(text).shapes[11] == (10, 1)
+    assert OscillatingTableau.from_text(text).to_text() == text
+    # Either form reads any shape.
+    assert OscillatingTableau.from_text("-;1,;11;1;-") == OscillatingTableau.from_text(
+        "-;1;1,1,;1,;-"
+    )
 
 
 @given(complete_matchings)
