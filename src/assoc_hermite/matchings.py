@@ -332,15 +332,14 @@ class Blocks(_Record):
     def total(self) -> int:
         return sum(self.sizes)
 
+    def labels(self) -> list[int]:
+        """Entry v is the block of vertex v; entry 0 pads the list."""
+        return [0] + [i for i, s in enumerate(self.sizes) for _ in range(s)]
+
     def block_of(self, v: int) -> int:
         if not (1 <= v <= self.total):
             raise ValueError(f"vertex {v} out of range")
-        upper = 0
-        for i, s in enumerate(self.sizes):
-            upper += s
-            if v <= upper:
-                return i
-        raise AssertionError("unreachable")
+        return self.labels()[v]
 
 
 def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:
@@ -349,8 +348,7 @@ def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:
     _check_cap(n)
     if n % 2:
         raise ValueError("inhomogeneous matchings need an even vertex total")
-    block_of = [0] + [i for i, s in enumerate(blocks.sizes) for _ in range(s)]
-    for edges in _pairings(tuple(range(1, n + 1)), block_of):
+    for edges in _pairings(tuple(range(1, n + 1)), blocks.labels()):
         yield _trusted(Matching, n=n, edges=edges)
 
 

@@ -2,9 +2,10 @@
 
 The functional L_c sends x^n to the nth moment mu_n(c), the generating
 function of weighted Dyck paths: an up step weighs 1 and a down step from
-height j weighs j - 1 + c.  Orthogonality L_c(H_n H_m) = 0 (n != m) and
-(c)_n (n = m) is also checked combinatorially here, through paired
-matchings and a sign-reversing involution on them.
+height j weighs j - 1 + c.  `product_functional` applies L_c to a product
+of the polynomials.  Orthogonality, its case L_c(H_n H_m) = 0 (n != m) and
+(c)_n (n = m), is also checked here through paired matchings and a
+sign-reversing involution on them.
 
 The moments as sums over complete matchings, `moment_via_matchings`, come
 from the history recurrence `_history._histories` on blocks of one vertex,
@@ -89,10 +90,10 @@ def moment_via_matchings(n: int, scheme: WeightScheme) -> Poly:
     Blocks of one vertex each admit every complete matching, so this is the
     block-matching history recurrence on n unit blocks; odd n gives zero.
     """
-    if n % 2:
-        return Poly.zero()
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n % 2:
+        return Poly.zero()
     return _histories((1,) * n, scheme)
 
 
@@ -106,12 +107,25 @@ def apply_functional(p: Poly) -> Poly:
     return _gf(p.terms.items(), term)
 
 
+def product_functional(ns: Sequence[int]) -> Poly:
+    """L_c of the product of the polynomials H_n, n in ns."""
+    p = Poly.one()
+    for n in ns:
+        p = p * associated_hermite(n)
+    return apply_functional(p)
+
+
 def inner_product(n: int, m: int) -> Poly:
     """L_c(H_n H_m); zero off the diagonal and (c)_n on it."""
-    return apply_functional(associated_hermite(n) * associated_hermite(m))
+    return product_functional((n, m))
 
 
 # ----- paired matchings -----
+
+
+def _one_row(e: Edge, n: int) -> bool:
+    """Whether edge e stays inside one row when the left row is 1..n."""
+    return e[1] <= n or e[0] > n
 
 
 class PairedMatching(_Record):
@@ -128,10 +142,11 @@ class PairedMatching(_Record):
     green: tuple[Edge, ...]
 
     def __post_init__(self):
-        _exact_sizes((self.n, self.m), "row")
-        object.__setattr__(self, "black", tuple(sorted(self.black)))
-        object.__setattr__(self, "green", tuple(sorted(self.green)))
-        total = self.n + self.m
+        n, m = _exact_sizes((self.n, self.m), "row")
+        self.__dict__.update(
+            n=n, m=m, black=tuple(sorted(self.black)), green=tuple(sorted(self.green))
+        )
+        total = n + m
         seen: set[int] = set()
         for a, b in self.black + self.green:
             if not (1 <= a < b <= total):
@@ -146,8 +161,7 @@ class PairedMatching(_Record):
                 raise ValueError(f"black edge {e!r} crosses the row boundary")
 
     def is_homogeneous(self, e: Edge) -> bool:
-        a, b = e
-        return (b <= self.n) or (a > self.n)
+        return _one_row(e, self.n)
 
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.black + self.green))
@@ -180,7 +194,7 @@ def enumerate_paired(n: int, m: int) -> Iterator[PairedMatching]:
         return
     for matching in enumerate_complete(total):
         edges = matching.edges
-        homogeneous = [e for e in edges if (e[1] <= n) or (e[0] > n)]
+        homogeneous = [e for e in edges if _one_row(e, n)]
         for mask in range(1 << len(homogeneous)):
             black = tuple(e for i, e in enumerate(homogeneous) if mask >> i & 1)
             green = tuple(e for e in edges if e not in black)
@@ -254,7 +268,7 @@ def paired_to_permutation(pm: PairedMatching) -> tuple[int, ...]:
     n = pm.n
     partner = {}
     for a, b in pm.green:
-        if b <= n or a > n:
+        if pm.is_homogeneous((a, b)):
             raise ValueError("needs every edge to span the rows")
         partner[b] = a
     return tuple(partner[2 * n + 1 - i] for i in range(1, n + 1))

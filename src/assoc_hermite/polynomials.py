@@ -119,14 +119,6 @@ class Poly:
         return cls({(0, 0): value})
 
     @classmethod
-    def x(cls, power: int = 1) -> "Poly":
-        return cls({(power, 0): 1})
-
-    @classmethod
-    def c(cls, power: int = 1) -> "Poly":
-        return cls({(0, power): 1})
-
-    @classmethod
     def monomial(cls, xd: int, cd: int, coeff: Scalar = 1) -> "Poly":
         return cls({(xd, cd): coeff})
 
@@ -300,8 +292,8 @@ class Poly:
         return text.replace("+ -", "- ")
 
 
-X = Poly.x()
-C = Poly.c()
+X = Poly.monomial(1, 0)
+C = Poly.monomial(0, 1)
 
 
 def _gf(objects: Iterable, weigh: Callable[..., Poly]) -> Poly:
@@ -341,14 +333,10 @@ def rising_factorial(base: Poly | Scalar, k: int) -> Poly:
 
 
 def binomial_poly(top: Poly | Scalar, k: int) -> Poly:
-    """Binomial coefficient with polynomial top: top (top-1) ... (top-k+1) / k!."""
+    """Binomial coefficient with polynomial top: (top-k+1)_k / k!."""
     if k < 0:
         raise ValueError("binomial needs k >= 0")
-    top = top if isinstance(top, Poly) else Poly.constant(top)
-    result = Poly.one()
-    for i in range(k):
-        result = result * (top - i)
-    return result * Fraction(1, factorial(k))
+    return rising_factorial(top - (k - 1), k) * Fraction(1, factorial(k))
 
 
 def rising_factorial_value(base: Scalar, k: int) -> Fraction:

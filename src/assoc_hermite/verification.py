@@ -28,7 +28,7 @@ import time
 from contextlib import suppress
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import LEVELS
 from ._history import _paired_rows
@@ -54,6 +54,7 @@ from .maps import (
     tail_swap_inverse,
 )
 from .matchings import (
+    MOMENT_SCHEMES,
     Matching,
     WeightScheme,
     _Record,
@@ -211,11 +212,7 @@ def suite_moment_tables(rec: RunReport) -> None:
             rec.check("mu_{} vanishes", mu, Poly.zero(), n)
             rec.check("series coefficient t^{}", plain[n], Poly.zero(), n)
             continue
-        for scheme in (
-            WeightScheme.MOMENT_NONNESTED,
-            WeightScheme.MOMENT_NO_RIGHT_CROSSING,
-            WeightScheme.MOMENT_NO_LEFT_CROSSING,
-        ):
+        for scheme in MOMENT_SCHEMES:
             rec.check(
                 "mu_{} via {} matchings",
                 moment_via_matchings(n, scheme),
@@ -634,6 +631,14 @@ def _map_part(rec: RunReport) -> None:
     rec.check("worked traversal tags", connected_matching_tags(wm), frozenset({(2, 11), (4, 12)}))
 
 
+def _tag_sets(m: Matching) -> Iterator[frozenset]:
+    """Every set of nonnested edges of m, smallest first."""
+    nn = nonnested_edges(m)
+    for r in range(len(nn) + 1):
+        for combo in itertools.combinations(nn, r):
+            yield frozenset(combo)
+
+
 def _tail_swap_part(rec: RunReport) -> None:
     for n in (2, 4, 6, 8, 10):
         outputs = set()
@@ -652,24 +657,16 @@ def _tail_swap_part(rec: RunReport) -> None:
             )
             outputs.add((small, tags))
         rec.check("tail swap injective on {} vertices", len(outputs), connected_count, n)
-        expected_pairs = set()
-        for sm in enumerate_complete(n - 2):
-            nn = nonnested_edges(sm)
-            for r in range(len(nn) + 1):
-                for combo in itertools.combinations(nn, r):
-                    expected_pairs.add((sm, frozenset(combo)))
+        expected_pairs = {(sm, t) for sm in enumerate_complete(n - 2) for t in _tag_sets(sm)}
         rec.check("tail swap onto tagged matchings on {} vertices", outputs, expected_pairs, n - 2)
     for n in (0, 2, 4, 6, 8):
         for sm in enumerate_complete(n):
-            nn = nonnested_edges(sm)
-            for r in range(len(nn) + 1):
-                for combo in itertools.combinations(nn, r):
-                    tags = frozenset(combo)
-                    big = tail_swap_inverse(sm, tags)
-                    rec.ensure(lambda: f"inverse swap of {sm} {sorted(tags)} connects",
-                               is_connected(big))
-                    rec.check(lambda: f"inverse round trip {sm} {sorted(tags)}",
-                              tail_swap(big), (sm, tags))
+            for tags in _tag_sets(sm):
+                big = tail_swap_inverse(sm, tags)
+                rec.ensure(lambda: f"inverse swap of {sm} {sorted(tags)} connects",
+                           is_connected(big))
+                rec.check(lambda: f"inverse round trip {sm} {sorted(tags)}",
+                          tail_swap(big), (sm, tags))
     # The first loop's last pass, n = 10, counted both sides.
     rec.check("tagged matchings on 8 vertices", len(expected_pairs), 706)
     rec.check("connected matchings on 10 vertices", connected_count, 706)

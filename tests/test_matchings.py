@@ -241,9 +241,11 @@ def test_poly_rightmost_weighting_instance():
 def test_blocks_partition_vertices():
     b = Blocks((2, 3, 1))
     assert b.total == 6
+    assert b.labels() == [0, 0, 0, 1, 1, 1, 2]
     assert [b.block_of(v) for v in range(1, 7)] == [0, 0, 1, 1, 1, 2]
-    with pytest.raises(ValueError):
-        b.block_of(7)
+    for v in (0, 7):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            b.block_of(v)
 
 
 # Each entry point that takes block or row sizes, with sizes that are not

@@ -71,6 +71,15 @@ def test_repr_is_literal(record, fields, text):
     assert repr(record) == text
 
 
+def test_sizes_are_stored_as_the_ints_they_are_read_as():
+    # A size is read through operator.index; the record keeps the int it
+    # gives, not the object it was given, so True prints as 1.
+    pm = PairedMatching(True, True, (), ((1, 2),))
+    assert repr(pm) == "PairedMatching(n=1, m=1, black=(), green=((1, 2),))"
+    assert type(pm.n) is int and type(pm.m) is int
+    assert repr(Blocks((True, 2))) == "Blocks(sizes=(1, 2))"
+
+
 @pytest.mark.parametrize("record, fields, text", SAMPLES, ids=IDS)
 def test_equality_holds_within_a_class_only(record, fields, text):
     assert record == type(record)(*fields)

@@ -8,7 +8,6 @@ from assoc_hermite.matchings import (
     Matching,
     WeightScheme,
     edge_stats,
-    enumerate_complete,
     weight,
 )
 from assoc_hermite.polynomials import Poly
@@ -155,35 +154,6 @@ def reference_step_row(prev, cur):
     """The row of a valid step: the first row in which the bigger shape differs."""
     big, small = (prev, cur) if reference_step_size(prev, cur) == -1 else (cur, prev)
     return next(i for i in range(len(big)) if i >= len(small) or big[i] != small[i])
-
-
-def reference_tableau_weight(t, statistic):
-    """Count the labels that never leave column 1 (or row 1), one label at a time."""
-    m = tableau_to_matching(t)
-    fillings = forward_fillings(m)
-    confined = 0
-    for label in set(_edge_labels(m).values()):
-        ok = True
-        for f in fillings:
-            for i, row in enumerate(f):
-                if label in row:
-                    if statistic == "column" and row.index(label) > 0:
-                        ok = False
-                    if statistic == "row" and i > 0:
-                        ok = False
-        confined += ok
-    return Poly.monomial(0, confined)
-
-
-def test_tableau_weight_matches_the_per_label_scan():
-    count = 0
-    for n in range(0, 11, 2):
-        for m in enumerate_complete(n):
-            t = matching_to_tableau(m)
-            for statistic in ("column", "row"):
-                assert tableau_weight(t, statistic) == reference_tableau_weight(t, statistic)
-            count += 1
-    assert count == 1070
 
 
 def scan_label_depths(fillings):
