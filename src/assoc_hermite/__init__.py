@@ -30,6 +30,7 @@ _EXPORTS = {
         "linearization_coefficient_hypergeometric",
         "mixed_coefficient",
         "mixed_residual",
+        "product_functional",
         "verify_linearization",
         "verify_mixed",
     ),
@@ -88,7 +89,6 @@ _EXPORTS = {
         "orthogonality_involution",
         "paired_to_permutation",
         "paired_weight",
-        "product_functional",
     ),
     "polynomials": (
         "C",

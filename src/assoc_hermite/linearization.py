@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 from ._history import _histories
 from .matchings import Blocks, WeightScheme, _Record
 from .models import associated_hermite, usual_hermite
-from .moments import product_functional
+from .moments import apply_functional
 from .polynomials import (
     C,
     Poly,
@@ -132,6 +132,14 @@ def mixed_residual(n: int, m: int) -> Poly:
 
 def verify_mixed(n: int, m: int) -> bool:
     return mixed_residual(n, m).is_zero()
+
+
+def product_functional(ns: Sequence[int]) -> Poly:
+    """The orthogonality functional applied to a product of the polynomials."""
+    p = Poly.one()
+    for n in ns:
+        p = p * associated_hermite(n)
+    return apply_functional(p)
 
 
 def inhomogeneous_gf(sizes: Sequence[int], scheme: WeightScheme) -> Poly:

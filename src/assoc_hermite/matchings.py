@@ -27,8 +27,10 @@ hashed and printed by their fields.  Enumerators build them through
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from operator import attrgetter, index
 from typing import Container, Iterator, Sequence
 
@@ -339,7 +341,7 @@ class Blocks(_Record):
     def block_of(self, v: int) -> int:
         if not (1 <= v <= self.total):
             raise ValueError(f"vertex {v} out of range")
-        return self.labels()[v]
+        return bisect_left(list(accumulate(self.sizes)), v)
 
 
 def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:

@@ -2,10 +2,9 @@
 
 The functional L_c sends x^n to the nth moment mu_n(c), the generating
 function of weighted Dyck paths: an up step weighs 1 and a down step from
-height j weighs j - 1 + c.  `product_functional` applies L_c to a product
-of the polynomials.  Orthogonality, its case L_c(H_n H_m) = 0 (n != m) and
-(c)_n (n = m), is also checked here through paired matchings and a
-sign-reversing involution on them.
+height j weighs j - 1 + c.  Orthogonality L_c(H_n H_m) = 0 (n != m) and
+(c)_n (n = m) is also checked combinatorially here, through paired
+matchings and a sign-reversing involution on them.
 
 The moments as sums over complete matchings, `moment_via_matchings`, come
 from the history recurrence `_history._histories` on blocks of one vertex,
@@ -107,17 +106,9 @@ def apply_functional(p: Poly) -> Poly:
     return _gf(p.terms.items(), term)
 
 
-def product_functional(ns: Sequence[int]) -> Poly:
-    """L_c of the product of the polynomials H_n, n in ns."""
-    p = Poly.one()
-    for n in ns:
-        p = p * associated_hermite(n)
-    return apply_functional(p)
-
-
 def inner_product(n: int, m: int) -> Poly:
     """L_c(H_n H_m); zero off the diagonal and (c)_n on it."""
-    return product_functional((n, m))
+    return apply_functional(associated_hermite(n) * associated_hermite(m))
 
 
 # ----- paired matchings -----

@@ -243,6 +243,8 @@ def test_blocks_partition_vertices():
     assert b.total == 6
     assert b.labels() == [0, 0, 0, 1, 1, 1, 2]
     assert [b.block_of(v) for v in range(1, 7)] == [0, 0, 1, 1, 1, 2]
+    # Empty blocks hold no vertex, wherever they sit.
+    assert [Blocks((0, 2, 0, 1)).block_of(v) for v in (1, 2, 3)] == [1, 1, 3]
     for v in (0, 7):
         with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
             b.block_of(v)

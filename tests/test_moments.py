@@ -6,6 +6,7 @@ import pytest
 
 from assoc_hermite import moments
 from assoc_hermite._history import _paired_rows
+from assoc_hermite.linearization import product_functional
 from assoc_hermite.matchings import WeightScheme, enumerate_complete
 from assoc_hermite.models import _hermite_b
 from assoc_hermite.moments import (
@@ -21,7 +22,6 @@ from assoc_hermite.moments import (
     orthogonality_involution,
     paired_to_permutation,
     paired_weight,
-    product_functional,
 )
 from assoc_hermite.polynomials import C, Poly, _gf, rising_factorial
 
