@@ -166,6 +166,21 @@ def _cmd_orthogonality(args: argparse.Namespace) -> int:
     return 0
 
 
+def _expansion_record(
+    n: int, m: int, index: str, coefficients: list[Poly], lhs: Poly, rhs: Poly
+) -> dict:
+    """The JSON record of an expanded product of degrees n and m: its
+    coefficients numbered by `index`, both sides, and whether they agree."""
+    return {
+        "n": n,
+        "m": m,
+        "terms": [{index: i, "coefficient": p.to_json_obj()} for i, p in enumerate(coefficients)],
+        "lhs": lhs.to_json_obj(),
+        "rhs": rhs.to_json_obj(),
+        "match": lhs == rhs,
+    }
+
+
 def _cmd_linearize(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     _check_nonnegative(n=n, m=m)
@@ -175,20 +190,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
         rows = [row for j, p in enumerate(_coefficients(n, m)) for row in _poly_rows(p, [j])]
         _emit_csv(["j", "xd", "cd", "num", "den"], rows)
         return 0
-    coefficients, lhs, rhs = _linearize(n, m)
-    _emit_json(
-        {
-            "n": n,
-            "m": m,
-            "terms": [
-                {"j": j, "coefficient": p.to_json_obj()}
-                for j, p in enumerate(coefficients)
-            ],
-            "lhs": lhs.to_json_obj(),
-            "rhs": rhs.to_json_obj(),
-            "match": lhs == rhs,
-        }
-    )
+    _emit_json(_expansion_record(n, m, "j", *_linearize(n, m)))
     return 0
 
 
@@ -197,22 +199,8 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
     _check_nonnegative(n=n, m=m)
     _check_size("degree n + m =", n + m, _MAX_PRODUCT_DEGREE)
     coefficients, lhs, rhs = _mix(n, m)
-    residual = lhs - rhs
-    _emit_json(
-        {
-            "n": n,
-            "m": m,
-            "valid_range": n >= m - 1,
-            "terms": [
-                {"k": k, "coefficient": p.to_json_obj()}
-                for k, p in enumerate(coefficients)
-            ],
-            "lhs": lhs.to_json_obj(),
-            "rhs": rhs.to_json_obj(),
-            "residual": residual.to_json_obj(),
-            "match": residual.is_zero(),
-        }
-    )
+    record = _expansion_record(n, m, "k", coefficients, lhs, rhs)
+    _emit_json({**record, "valid_range": n >= m - 1, "residual": (lhs - rhs).to_json_obj()})
     return 0
 
 
@@ -266,9 +254,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         raise ValueError("--tags applies only to tailswap-inv")
     from . import maps, tableaux
 
-    if op == "tableau":
+    if op in ("tableau", "tailswap", "tailswap-inv"):
         m = Matching.from_text(args.value)
         _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
+    if op == "tableau":
         t = tableaux.matching_to_tableau(m)
         _emit_json(
             {
@@ -282,13 +271,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         _check_size("edge count", t.length // 2, _MAX_BIJECTION_EDGES)
         _emit_json({"matching": tableaux.tableau_to_matching(t).to_text()})
     elif op == "tailswap":
-        m = Matching.from_text(args.value)
-        _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
         small, tags = maps.tail_swap(m)
         _emit_json({"matching": small.to_text(), "tags": _edge_texts(tags)})
     elif op == "tailswap-inv":
-        m = Matching.from_text(args.value)
-        _check_size("edge count", len(m.edges), _MAX_BIJECTION_EDGES)
         tags = Matching.from_text(args.tags, n=m.n).edges if args.tags else ()
         _emit_json({"matching": maps.tail_swap_inverse(m, frozenset(tags)).to_text()})
     elif op == "map-matching":

@@ -8,8 +8,8 @@ sums (`_history._histories`), the paired-matching sums
 (`_history._paired_rows`), and the partial-matching and marker-edge models
 of the polynomials (`_history._partial_matchings` and
 `_history._marker_edge`).  Each suite returns a RunReport that lists how
-many cases ran and which failed.  A case's name is built only when the
-case fails, from a format string and its arguments or from a callable, so
+many cases ran and which failed.  A case's name is a string, or a format
+string with arguments that is formatted only when the case fails, so
 passing cases cost no formatting.  `run_all` runs each of a level's
 suites in a forked worker of its own, longest first, as many at once as
 there are available CPUs; each worker sends its pickled report back on a
@@ -105,10 +105,8 @@ from .tableaux import (
 )
 
 
-def _case_name(case: str | Callable[[], str], args: tuple) -> str:
-    if args:
-        return case.format(*args)
-    return case() if callable(case) else case
+def _case_name(case: str, args: tuple) -> str:
+    return case.format(*args) if args else case
 
 
 class Failure(_Record):
@@ -134,15 +132,15 @@ class RunReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, case: str | Callable[[], str], actual, expected, *args) -> None:
+    def check(self, case: str, actual, expected, *args) -> None:
         """Count one case, failed when actual != expected.  Its name is
-        case.format(*args) when args are given, case() when case is
-        callable, and case itself otherwise, built only on failure."""
+        case.format(*args) when args are given and case otherwise, built
+        only on failure."""
         self.cases += 1
         if actual != expected:
             self.failures.append(Failure(_case_name(case, args), str(expected), str(actual)))
 
-    def ensure(self, case: str | Callable[[], str], condition: bool, *args) -> None:
+    def ensure(self, case: str, condition: bool, *args) -> None:
         """Count one case, failed when condition is false; named as in check."""
         self.cases += 1
         if not condition:
@@ -539,11 +537,7 @@ def _tableau_part(rec: RunReport) -> None:
             expected_count *= odd
         rec.check("tableaux of length {}", len(tableaux), expected_count, length)
         for t in tableaux:
-            rec.check(
-                lambda: f"reverse round trip {t.to_text()}",
-                matching_to_tableau(tableau_to_matching(t)),
-                t,
-            )
+            rec.check("reverse round trip {}", matching_to_tableau(tableau_to_matching(t)), t, t)
     for half in range(1, 5):
         for m in enumerate_complete(2 * half):
             labels = _edge_labels(m)
@@ -592,14 +586,11 @@ def _map_part(rec: RunReport) -> None:
         rec.check("rooted maps with {} edges", len(maps), expected_count, e_count)
         traversals = set()
         for rm in maps:
-            rec.check(lambda: f"canonical form is stable: {rm.to_json_obj()}", rm.canonical(), rm)
+            obj = rm.to_json_obj()
+            rec.check("canonical form is stable: {}", rm.canonical(), rm, obj)
             cm = map_to_connected_matching(rm)
-            rec.ensure(lambda: f"traversal of {rm.to_json_obj()} is connected", is_connected(cm))
-            rec.check(
-                lambda: f"traversal weight of {rm.to_json_obj()}",
-                connected_matching_weight(cm),
-                rm.weight(),
-            )
+            rec.ensure("traversal of {} is connected", is_connected(cm), obj)
+            rec.check("traversal weight of {}", connected_matching_weight(cm), rm.weight(), obj)
             traversals.add(cm)
         rec.check("distinct traversals with {} edges", len(traversals), len(maps), e_count)
         rec.check(
@@ -663,10 +654,9 @@ def _tail_swap_part(rec: RunReport) -> None:
         for sm in enumerate_complete(n):
             for tags in _tag_sets(sm):
                 big = tail_swap_inverse(sm, tags)
-                rec.ensure(lambda: f"inverse swap of {sm} {sorted(tags)} connects",
-                           is_connected(big))
-                rec.check(lambda: f"inverse round trip {sm} {sorted(tags)}",
-                          tail_swap(big), (sm, tags))
+                tag_list = sorted(tags)
+                rec.ensure("inverse swap of {} {} connects", is_connected(big), sm, tag_list)
+                rec.check("inverse round trip {} {}", tail_swap(big), (sm, tags), sm, tag_list)
     # The first loop's last pass, n = 10, counted both sides.
     rec.check("tagged matchings on 8 vertices", len(expected_pairs), 706)
     rec.check("connected matchings on 10 vertices", connected_count, 706)
@@ -816,9 +806,8 @@ _LONGEST_FIRST = (
 )
 
 
-def _dispatch_order(level: str) -> list[int]:
-    """The indices into _suites(level) in the order the workers start them."""
-    suites = _suites(level)
+def _dispatch_order(suites: list[Suite]) -> list[int]:
+    """The indices into suites in the order the workers start them."""
     rank = {suite: i for i, suite in enumerate(_LONGEST_FIRST)}
     return sorted(range(len(suites)), key=lambda i: rank.get(suites[i], len(rank)))
 
@@ -881,19 +870,19 @@ def _failed(suite: Suite, cause: OSError | int) -> RunReport:
     return report
 
 
-def _fork_suites(level: str, workers: int, origin: float) -> list[RunReport]:
-    """Run each of the level's suites in a forked worker of its own, at most
-    `workers` at once, started in dispatch order, and return their reports
-    in suite order.  The parent reads whichever running worker's pipe has
-    data, so no worker blocks on a full pipe; at a pipe's end it reaps that
-    worker and forks the next suite.  A suite whose worker could not start,
-    or exited without a report, gets one failed case saying why."""
+def _fork_suites(suites: list[Suite], workers: int, origin: float) -> list[RunReport]:
+    """Run each of the given suites, which run_all resolved from its level,
+    in a forked worker of its own, at most `workers` at once, started in
+    dispatch order, and return their reports in the suites' order.  The
+    parent reads whichever running worker's pipe has data, so no worker
+    blocks on a full pipe; at a pipe's end it reaps that worker and forks
+    the next suite.  A suite whose worker could not start, or exited
+    without a report, gets one failed case saying why."""
     # Every CLI call pays this module's imports; only a forked run needs these.
     import pickle
     import select
 
-    suites = _suites(level)
-    waiting = _dispatch_order(level)[::-1]
+    waiting = _dispatch_order(suites)[::-1]
     reports: dict[int, RunReport] = {}  # suite index -> its report
     running: dict[int, tuple[int, int, bytearray]] = {}  # reader -> suite index, pid, bytes read
     try:
@@ -940,5 +929,5 @@ def run_all(level: str = "desk") -> list[RunReport]:
     suites = _suites(level)
     workers = min(len(suites), _available_cpus())
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _fork_suites(level, workers, origin)
+        return _fork_suites(suites, workers, origin)
     return [_run_suite(suite, origin) for suite in suites]

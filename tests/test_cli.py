@@ -364,6 +364,40 @@ def test_mixed(capsys):
     assert doc["residual"] == (1 - C).to_json_obj()
 
 
+# The whole stdout of one expansion that holds and one that fails (mixed
+# products need n >= m - 1): one record shape, `terms` numbered by j or k.
+ONE = '{"cd": 0, "den": "1", "num": "1", "xd": 0}'
+EXPANSION_STDOUT = {
+    ("linearize", "2", "1"): (
+        '{"lhs": [{"cd": 0, "den": "1", "num": "1", "xd": 3}, '
+        '{"cd": 1, "den": "1", "num": "-1", "xd": 1}], '
+        '"m": 1, "match": true, "n": 2, '
+        '"rhs": [{"cd": 0, "den": "1", "num": "1", "xd": 3}, '
+        '{"cd": 1, "den": "1", "num": "-1", "xd": 1}], '
+        f'"terms": [{{"coefficient": [{ONE}], "j": 0}}, '
+        f'{{"coefficient": [{{"cd": 1, "den": "1", "num": "1", "xd": 0}}, {ONE}], "j": 1}}]}}\n'
+    ),
+    ("mixed", "0", "2"): (
+        '{"lhs": [{"cd": 0, "den": "1", "num": "1", "xd": 2}, '
+        '{"cd": 0, "den": "1", "num": "-1", "xd": 0}], '
+        '"m": 2, "match": false, "n": 0, '
+        f'"residual": [{{"cd": 1, "den": "1", "num": "-1", "xd": 0}}, {ONE}], '
+        '"rhs": [{"cd": 0, "den": "1", "num": "1", "xd": 2}, '
+        '{"cd": 1, "den": "1", "num": "1", "xd": 0}, '
+        '{"cd": 0, "den": "1", "num": "-2", "xd": 0}], '
+        f'"terms": [{{"coefficient": [{ONE}], "k": 0}}, '
+        '{"coefficient": [{"cd": 1, "den": "1", "num": "2", "xd": 0}, '
+        '{"cd": 0, "den": "1", "num": "-2", "xd": 0}], "k": 1}], '
+        '"valid_range": false}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXPANSION_STDOUT), ids=" ".join)
+def test_expansion_stdout_is_pinned(capsys, argv):
+    assert run(capsys, *argv) == (0, EXPANSION_STDOUT[argv], "")
+
+
 def test_conjecture_sweep_small(capsys):
     rc, out, _ = run(capsys, "conjecture", "--sum-max", "4")
     docs = json.loads(out)
@@ -603,7 +637,7 @@ def test_verify_all_pool_keeps_suite_order_and_failures(monkeypatch, cpus, threa
     assert all(r.start >= 0 for r in reports)
     if forked:
         # With one worker at a time the suites start in dispatch order.
-        alone = verification._fork_suites("desk", 1, time.perf_counter())
+        alone = verification._fork_suites(verification._suites("desk"), 1, time.perf_counter())
         assert [(r.suite, r.cases, r.failures) for r in alone] == expected
         assert [r.suite for r in sorted(alone, key=lambda r: r.start)] == list("dbac")
 
@@ -766,7 +800,7 @@ def test_text_buffered_before_verify_all_is_printed_once():
 @pytest.mark.parametrize("level", verification.LEVELS)
 def test_dispatch_order_starts_every_suite_once(level):
     suites = verification._suites(level)
-    order = verification._dispatch_order(level)
+    order = verification._dispatch_order(suites)
     assert sorted(order) == list(range(len(suites)))
     assert set(suites) <= set(verification._LONGEST_FIRST)
     assert [suites[i].__name__ for i in order[:3]] == [

@@ -10,8 +10,8 @@ import pytest
 
 from assoc_hermite import verification
 from assoc_hermite.linearization import conjecture_sweep
-from assoc_hermite.maps import tail_swap
-from assoc_hermite.matchings import Matching, WeightScheme, edge_stats
+from assoc_hermite.maps import RootedMap, enumerate_rooted_maps, tail_swap
+from assoc_hermite.matchings import Matching, WeightScheme, edge_stats, is_connected
 from assoc_hermite.models import anchored_config_slots, chebyshev_rescaled_terms
 from assoc_hermite.moments import PairedMatching, orthogonality_involution
 from assoc_hermite.polynomials import C
@@ -50,6 +50,32 @@ def faulty_tail_swap():
             if len(calls) == 2:
                 return small, frozenset()
         return small, tags
+
+    return faulty
+
+
+def faulty_rooted_maps(edge_count):
+    """enumerate_rooted_maps, with the one-edge loop rooted at its second
+    dart: the same map, but not in its canonical labelling."""
+    loop = RootedMap((1, 0), (1, 0), 0)
+    for rm in enumerate_rooted_maps(edge_count):
+        yield RootedMap((1, 0), (1, 0), 1) if rm == loop else rm
+
+
+def faulty_is_connected():
+    """is_connected, false on its first and fourth calls with (1,3)(2,4):
+    the traversal of the one-edge link and the inverse swap that builds
+    that matching.  The calls between list the connected matchings on
+    four vertices, for the traversals and for the tail swap."""
+    target = Matching.from_text("(1,3)(2,4)")
+    calls = []
+
+    def faulty(m):
+        if m == target:
+            calls.append(m)
+            if len(calls) in (1, 4):
+                return False
+        return is_connected(m)
 
     return faulty
 
@@ -147,6 +173,8 @@ FAULTS = {
             v.connected_matching_weight, (Matching.from_text("(1,3)(2,4)"),), lambda p: p * C
         ),
         "tail_swap": faulty_tail_swap(),
+        "enumerate_rooted_maps": faulty_rooted_maps,
+        "is_connected": faulty_is_connected(),
     },
     "suite_chebyshev": lambda v: {
         "chebyshev_rescaled_terms": faulty_rescaled_terms,
@@ -161,7 +189,18 @@ EXPECTED = {
         ("column statistic of (1,3)(2,4)", "c^2", "c^3"),
         ("reverse round trip -;1;11;1;-", "-;1;11;1;-", "-;1;-;1;-"),
         ("label 2 leaves column one in (1,4)(2,3)", "False", "True"),
+        (
+            "traversal of {'rotation': [0, 1], 'pairing': [1, 0], 'root': 0} is connected",
+            "True",
+            "False",
+        ),
         ("traversal weight of {'rotation': [0, 1], 'pairing': [1, 0], 'root': 0}", "c", "c^2"),
+        (
+            "canonical form is stable: {'rotation': [1, 0], 'pairing': [1, 0], 'root': 1}",
+            "RootedMap(rotation=(1, 0), pairing=(1, 0), root=1)",
+            "RootedMap(rotation=(1, 0), pairing=(1, 0), root=0)",
+        ),
+        ("inverse swap of (1,2) [(1, 2)] connects", "True", "False"),
         (
             "inverse round trip (1,3)(2,4) [(1, 3), (2, 4)]",
             "(Matching(n=4, edges=((1, 3), (2, 4))), frozenset({(2, 4), (1, 3)}))",
@@ -257,21 +296,17 @@ def test_passing_cases_format_nothing():
     report = RunReport("suite")
     report.check("value {}", bomb, bomb, bomb)
     report.ensure("value {} holds", True, bomb)
-    report.check(lambda: f"value {bomb}", bomb, bomb)
-    report.ensure(lambda: f"value {bomb} holds", bomb is bomb)
-    assert (report.cases, report.failures) == (4, [])
+    assert (report.cases, report.failures) == (2, [])
 
 
 def test_failing_cases_build_their_names():
     report = RunReport("suite")
     report.check("mu_{} via {}", 1, 2, 4, "paths")
     report.ensure("block sizes {}", False, (1, 2))
-    report.check(lambda: "built on failure", "a", "b")
     report.ensure("braces {} stay without arguments", 0)
     assert report.failures == [
         Failure("mu_4 via paths", "2", "1"),
         Failure("block sizes (1, 2)", "True", "False"),
-        Failure("built on failure", "b", "a"),
         Failure("braces {} stay without arguments", "True", "False"),
     ]
-    assert report.cases == 4
+    assert report.cases == 3
