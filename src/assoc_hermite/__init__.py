@@ -69,7 +69,6 @@ _EXPORTS = {
         "chebyshev_u",
         "chebyshev_u_matchings",
         "enumerate_anchored_configs",
-        "enumerate_marker_edge_matchings",
         "enumerate_two_row_matchings",
         "marker_edge_model",
         "two_row_matching_gf",

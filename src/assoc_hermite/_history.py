@@ -18,8 +18,10 @@ and rows add a boundary rule, which `_regroup` applies between them.
   `need`, drops the states that cannot close in time.
 - `_paired_rows` sums the signed weights of paired matchings on consecutive
   rows, black arcs staying inside one row.
-- `_partial_matchings` and `_marker_edge` sum the two polynomial models of
-  `models`, keeping the number of fixed points, the power of x, in the state.
+
+`models` sums its partial-matching and marker-edge models on the same
+kernel, with `_CLOSING_WEIGHTS`, keeping the number of fixed points, the
+power of x, in the state.
 
 The enumerators these replace stay in the tests as their oracles.
 """
@@ -146,55 +148,3 @@ def _paired_rows(rows: Sequence[int]) -> Poly:
 
     # Black arcs stay inside their row.
     return _blockwise(rows, lambda state: state if state[1] == 0 else None, moves)
-
-
-def _partial_matchings(n: int) -> Poly:
-    """The sum of the POLY_RIGHTMOST weights of the partial matchings of [n].
-
-    The state is (h, r, f): h arcs are open, r of them opened since the
-    last close or fixed point, and f vertices stayed fixed, each weighing x.
-    Only the r newest arcs nest nothing and have no left crossing, so a
-    close weighs the `_histories` closing weight with k = 0.
-    """
-    closing_weight = _CLOSING_WEIGHTS[WeightScheme.POLY_RIGHTMOST]
-
-    def moves(state, left):
-        # At least one vertex must follow for each arc left open.
-        h, r, f = state
-        if h <= left:
-            yield (h, 0, f + 1), 1, 0
-        if h < left:
-            yield (h + 1, r + 1, f), 1, 0
-        if h:
-            yield (h - 1, 0, f), *closing_weight(h, 0, r)
-
-    states = _sweep({(0, 0, 0): [1]}, range(n), moves)
-    return Poly._from_rows([states.get((0, 0, f), []) for f in range(n + 1)])
-
-
-def _marker_edge(n: int) -> Poly:
-    """The sum of the weights of the marker-edge matchings on n + 2 vertices.
-
-    The marker edge (1, t) weighs +1.  The vertices 2, ..., n + 2 are read
-    in the state (after, h, f): whether t is read, h arcs open, f fixed.
-    Inside the marker every arc is nested by it: a fixed point weighs x, a
-    close -h.  t leaves one open arc per vertex after it, each closing one
-    that crosses the marker, -(c + h - 1) as only the oldest is unnested.
-    """
-
-    def moves(state, left):
-        after, h, f = state
-        if after:
-            yield (1, h - 1, f), 1 - h, -1
-            return
-        if h == left:
-            yield (1, h, f), 1, 0
-        if h < left:
-            yield (0, h, f + 1), 1, 0
-        if h + 1 < left:
-            yield (0, h + 1, f), 1, 0
-        if h:
-            yield (0, h - 1, f), -h, 0
-
-    states = _sweep({(0, 0, 0): [1]}, range(n + 1), moves)
-    return Poly._from_rows([states.get((1, 0, f), []) for f in range(n + 1)])

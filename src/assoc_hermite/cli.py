@@ -50,12 +50,14 @@ from .polynomials import C, Poly, rising_factorial
 # of 1 then one of 120: 0.2 s); at total 200 the worst found is `rightmost`
 # on 75-80 blocks of 1, one of 60-65, then 60 of 1 (15-19.7 s, close to the
 # budget), then 200 blocks of 1 (5.4-8.6 s); the moment schemes stay near 1 s.
-# `quadruples` translates every rooted map (8,162 at 5 edges, 1.1 s).  The
-# other bijections take one object of at most 300 edges; the worst is
-# `tailswap` on the all-crossing matching (i, i+300), quadratic since each
-# swap updates the crossing count it checks from the two edges that trade
-# tails (0.2-0.3 s).  `poly matchings` and `marker-edge` sum by history
-# recurrences; their times are beside them.
+# `quadruples` translates every rooted map (8,162 at 5 edges: 1.3-2.0 s,
+# 46 MB).  The other bijections take one object of at most 300 edges; the
+# slowest found, 0.15-0.22 s and 21 MB at most, are `tailswap` (quadratic,
+# since each swap updates the crossing count it checks from the two edges
+# that trade tails), `tableau` and `tableau-inv` on the all-crossing
+# matching (i, i+300); `tailswap-inv` with its 300 edges tagged takes
+# 0.11-0.14 s.  `poly matchings` and `marker-edge` sum by history
+# recurrences; their times are beside them.  README points here.
 _MAX_RECURRENCE_DEGREE = 450
 _MAX_PRODUCT_DEGREE = 140
 _MAX_MOMENT_INDEX = 20
@@ -277,9 +279,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         tags = Matching.from_text(args.tags, n=m.n).edges if args.tags else ()
         _emit_json({"matching": maps.tail_swap_inverse(m, frozenset(tags)).to_text()})
     elif op == "map-matching":
+        # Text nested past the recursion limit raises RecursionError.
         try:
             obj = json.loads(args.value)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"map argument is not JSON: {exc}")
         rm = maps.RootedMap.from_json_obj(obj)
         _check_size("edge count", rm.edge_count, _MAX_BIJECTION_EDGES)

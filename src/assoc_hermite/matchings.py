@@ -6,7 +6,7 @@ model in the package:
 
 - `_pairings` is the one pairing kernel.  The smallest unmatched vertex is
   joined to each larger available vertex with a different label, in
-  increasing order (with the fixed-point branch first for a vertex that
+  increasing order (with the fixed-point branch first when vertices
   may stay unpaired), so enumeration is deterministic and repeated runs
   stream identical sequences.
 - `_relation_masks` is the one edge-relation sweep: bitmasks of the edges
@@ -27,12 +27,10 @@ hashed and printed by their fields.  Enumerators build them through
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from operator import attrgetter, index
-from typing import Container, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import Poly
 
@@ -275,18 +273,18 @@ def _check_cap(n: int) -> None:
 def _pairings(
     vertices: tuple[int, ...],
     label: Sequence[int] | None = None,
-    free: Container[int] = (),
+    free: bool = False,
 ) -> Iterator[tuple[Edge, ...]]:
     """Edge tuples pairing the vertices, in the order the module promises.
 
     Two vertices pair only when their labels differ (any two, without
-    labels).  The vertices in free may stay unpaired.
+    labels).  With free, any vertex may stay unpaired.
     """
     if not vertices:
         yield ()
         return
     v, rest = vertices[0], vertices[1:]
-    if v in free:
+    if free:
         yield from _pairings(rest, label, free)
     own = None if label is None else label[v]
     for i, w in enumerate(rest):
@@ -308,8 +306,7 @@ def enumerate_complete(n: int) -> Iterator[Matching]:
 def enumerate_incomplete(n: int) -> Iterator[Matching]:
     """All partial matchings on {1, ..., n} (fixed points allowed)."""
     _check_cap(n)
-    vertices = range(1, n + 1)
-    for edges in _pairings(tuple(vertices), free=vertices):
+    for edges in _pairings(tuple(range(1, n + 1)), free=True):
         yield _trusted(Matching, n=n, edges=edges)
 
 
@@ -337,11 +334,6 @@ class Blocks(_Record):
     def labels(self) -> list[int]:
         """Entry v is the block of vertex v; entry 0 pads the list."""
         return [0] + [i for i, s in enumerate(self.sizes) for _ in range(s)]
-
-    def block_of(self, v: int) -> int:
-        if not (1 <= v <= self.total):
-            raise ValueError(f"vertex {v} out of range")
-        return bisect_left(list(accumulate(self.sizes)), v)
 
 
 def enumerate_inhomogeneous(blocks: Blocks) -> Iterator[Matching]:

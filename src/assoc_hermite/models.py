@@ -7,9 +7,9 @@ coefficient to 1.  One forward walk runs all three on dense int rows, since
 every coefficient counts signed matchings, and keeps only its last two rows.
 Each model below builds the same polynomials from weighted matchings, and
 the Chebyshev limit extracts U_n(x) from the leading behaviour in c.  The
-partial-matching and marker-edge models are summed by the history
-recurrences of `_history`; the tests check them against the enumerations
-they replace.
+partial-matching and marker-edge models are history recurrences on the
+kernel of `_history`; the tests check them against the enumerations they
+replace.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from .matchings import (
     Blocks,
     Edge,
     Matching,
+    WeightScheme,
     _Record,
-    _check_cap,
-    _pairings,
     _special_mask,
-    _trusted,
     enumerate_complete,
     enumerate_incomplete,
     enumerate_inhomogeneous,
     nonnested_edges,
 )
-from ._history import _marker_edge, _partial_matchings
+from ._history import _CLOSING_WEIGHTS, _sweep
 from .polynomials import Poly, _add_scaled, _gf, _Row
 
 
@@ -104,39 +102,59 @@ def associated_hermite_matchings(n: int) -> Poly:
 
     Fixed points weigh x; an edge weighs -c when it nests no fixed point or
     edge and has no left crossing, and -1 otherwise.  The sum runs as a
-    history recurrence and enumerates nothing, so no enumeration cap applies.
+    history recurrence and enumerates nothing, so no enumeration cap
+    applies.  The state is (h, r, f): h arcs are open, r of them opened
+    since the last close or fixed point, and f vertices stayed fixed.  Only
+    the r newest arcs nest nothing and have no left crossing, so a close
+    weighs the `_histories` closing weight with k = 0.
     """
-    return _partial_matchings(n)
+    closing_weight = _CLOSING_WEIGHTS[WeightScheme.POLY_RIGHTMOST]
 
+    def moves(state, left):
+        # At least one vertex must follow for each arc left open.
+        h, r, f = state
+        if h <= left:
+            yield (h, 0, f + 1), 1, 0
+        if h < left:
+            yield (h + 1, r + 1, f), 1, 0
+        if h:
+            yield (h - 1, 0, f), *closing_weight(h, 0, r)
 
-def enumerate_marker_edge_matchings(n: int) -> Iterator[Matching]:
-    """Partial matchings on n + 2 vertices whose edge at vertex 1 covers the rest.
-
-    The edge containing vertex 1 is the marker edge.  Every fixed point must sit
-    under it, and every other edge must cross it or nest under it, so the
-    whole diagram hangs together.
-    """
-    total = n + 2
-    _check_cap(total)
-    rest = tuple(range(2, total + 1))
-    for t in rest:
-        others = tuple(v for v in rest if v != t)
-        # Vertices beyond t share a label, so no two of them pair, and only
-        # vertices under the marker may stay unpaired.
-        label = [min(v, t) for v in range(total + 1)]
-        for sub in _pairings(others, label, free=range(2, t)):
-            yield _trusted(Matching, n=total, edges=((1, t),) + sub)
+    states = _sweep({(0, 0, 0): [1]}, range(n), moves)
+    return Poly._from_rows([states.get((0, 0, f), []) for f in range(n + 1)])
 
 
 def marker_edge_model(n: int) -> Poly:
     """H_n(x; c+1) as the generating function of marker-edge matchings.
 
-    The marker edge weighs +1, fixed points weigh x, edges nested by some
-    other edge weigh -1, and the remaining edges weigh -c.  The sum runs as
-    a history recurrence and enumerates nothing, so no enumeration cap
-    applies.
+    These are the partial matchings on n + 2 vertices whose edge (1, t), the
+    marker edge, covers the rest: every fixed point sits under it, and every
+    other edge crosses it or nests under it.  The marker edge weighs +1,
+    fixed points x, edges nested by some other edge -1, and the rest -c.
+    The sum runs as a history recurrence and enumerates nothing, so no
+    enumeration cap applies.  The vertices 2, ..., n + 2 are read in the
+    state (after, h, f): whether t is read, h arcs open, f fixed.  Inside
+    the marker every arc is nested by it: a fixed point weighs x, a close
+    -h.  t leaves one open arc per vertex after it, each closing one that
+    crosses the marker, -(c + h - 1) as only the oldest is unnested.
     """
-    return _marker_edge(n)
+
+    def moves(state, left):
+        after, h, f = state
+        if after:
+            yield (1, h - 1, f), 1 - h, -1
+            return
+        if h == left:
+            yield (1, h, f), 1, 0
+        if h < left:
+            yield (0, h, f + 1), 1, 0
+        if h + 1 < left:
+            yield (0, h + 1, f), 1, 0
+        if h:
+            yield (0, h - 1, f), -h, 0
+
+    states = _sweep({(0, 0, 0): [1]}, range(n + 1), moves)
+    return Poly._from_rows([states.get((1, 0, f), []) for f in range(n + 1)])
 
 
 def associated_in_hermite_basis(n: int) -> Poly:
@@ -186,13 +204,13 @@ def chebyshev_u_matchings(n: int) -> Poly:
 def chebyshev_rescaled_terms(n: int) -> dict[tuple[int, int], Fraction]:
     """Terms of c^(-n/2) H_n(x sqrt(c); c) keyed by (x degree, c exponent).
 
-    The substitution sends x^k c^m to x^k c^(m + (k - n)/2); the parity of
-    H_n makes every shifted exponent an integer, and none is positive.
+    The substitution sends x^k c^m to x^k c^(m + (k - n)/2).  Every term
+    of H_n has k of n's parity and k + 2m <= n, by induction on
+    H_{n+1} = x H_n - (n - 1 + c) H_{n-1}, whose x raises k by one and
+    whose c raises m by one from degree n - 1; so every shifted exponent is
+    an integer, and none is positive.
     """
     terms = associated_hermite(n).terms
-    for xd, cd in terms:
-        if (xd - n) % 2:
-            raise AssertionError(f"parity violation in H_{n}: term ({xd},{cd})")
     return {(xd, cd + (xd - n) // 2): q for (xd, cd), q in terms.items()}
 
 
@@ -203,9 +221,6 @@ def chebyshev_limit(n: int) -> Poly:
     zero part, which equals U_n(x).
     """
     terms = chebyshev_rescaled_terms(n)
-    bad = [key for key, _ in terms.items() if key[1] > 0]
-    if bad:
-        raise AssertionError(f"positive c exponent after rescaling H_{n}: {bad}")
     return Poly({(xd, 0): q for (xd, shift), q in terms.items() if shift == 0})
 
 

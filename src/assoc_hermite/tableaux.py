@@ -111,7 +111,9 @@ def _delete_value(rows: list[list[int]], value: int) -> None:
     """Remove a value that is the maximum of the filling.
 
     Being the maximum it sits at the end of its row with nothing below,
-    so removing its box keeps the rows a valid filling.
+    so removing its box keeps the rows a valid filling.  forward_fillings
+    only deletes the label of the open edge that closes first, the largest
+    in the filling, so some row always ends with it.
     """
     for i, row in enumerate(rows):
         if row and row[-1] == value:
@@ -119,7 +121,6 @@ def _delete_value(rows: list[list[int]], value: int) -> None:
             if not row:
                 rows.pop(i)
             return
-    raise ValueError(f"{value} is not removable")
 
 
 def forward_fillings(m: Matching) -> list[Filling]:
@@ -211,7 +212,8 @@ def _walk_back(
 def tableau_to_matching(t: OscillatingTableau) -> Matching:
     """Invert the bijection by running the walk backward: a label met for
     the first time marks a right endpoint, and met again its edge's left
-    one."""
+    one.  The walk ends at the empty first shape, so every label met once
+    is met again."""
     right_end: dict[int, int] = {}
     edges = []
     for v, label, _, _ in _walk_back(t):
@@ -219,8 +221,6 @@ def tableau_to_matching(t: OscillatingTableau) -> Matching:
             edges.append((v, right_end.pop(label)))
         else:
             right_end[label] = v
-    if right_end:
-        raise ValueError("walk did not close all edges")
     return Matching(t.length, tuple(edges))
 
 

@@ -6,8 +6,8 @@ history recurrence covers, by that recurrence, which the tests check
 against enumeration: the block-matching sums and the moments as matching
 sums (`_history._histories`), the paired-matching sums
 (`_history._paired_rows`), and the partial-matching and marker-edge models
-of the polynomials (`_history._partial_matchings` and
-`_history._marker_edge`).  Each suite returns a RunReport that lists how
+of the polynomials (`models.associated_hermite_matchings` and
+`models.marker_edge_model`).  Each suite returns a RunReport that lists how
 many cases ran and which failed.  A case's name is a string, or a format
 string with arguments that is formatted only when the case fails, so
 passing cases cost no formatting.  `run_all` runs each of a level's

@@ -468,8 +468,9 @@ def test_bijection_map_matching(capsys):
         ('{"rotation":[0]}', "pairing"),
         ("[1,2]", "object"),
         ('{"rotation":[1,0],"pairing":[1,0]}', "root"),
+        ("[" * 3000 + "]" * 3000, "not JSON"),
     ],
-    ids=["not-json", "missing-pairing", "not-object", "missing-root"],
+    ids=["not-json", "missing-pairing", "not-object", "missing-root", "nested-too-deep"],
 )
 def test_bijection_map_matching_bad_json(capsys, value, message):
     rc, _, err = run(capsys, "bijection", "map-matching", value)
@@ -838,7 +839,7 @@ MAP_JSON = st.sampled_from(
      '{"rotation":[0]}', "[1,2]", "{", "null", "3", '{"rotation":[],"pairing":[],"root":0}',
      '{"rotation":[0,1],"pairing":[1,0],"root":5}', '{"rotation":[1,0],"pairing":[1,0],"root":-1}',
      '{"rotation":[0,0],"pairing":[1,0],"root":0}', '{"rotation":[1,0],"pairing":[0,1],"root":0}',
-     '{"rotation":"ab","pairing":[1,0],"root":0}']
+     '{"rotation":"ab","pairing":[1,0],"root":0}', "[" * 3000 + "]" * 3000]
 )
 SIZES = st.lists(st.integers(-1, 4), max_size=4).filter(lambda xs: sum(map(abs, xs)) <= 8).map(
     lambda xs: ",".join(map(str, xs))

@@ -89,13 +89,15 @@ def test_verify_all_imports_no_multiprocessing_or_concurrent_futures():
 
 
 def test_modules_load_on_first_use():
-    """The package loads no submodule until one of its names is read; a CLI
-    call loads only what its command needs; and the star import still binds
-    exactly the public names, each the object its defining module holds."""
+    """The package loads no submodule until one of its names is read, and
+    dir() lists every public name before any is; a CLI call loads only what
+    its command needs; and the star import still binds exactly the public
+    names, each the object its defining module holds."""
     code = textwrap.dedent(
         """
         import contextlib, io, json, sys
         import assoc_hermite
+        listed = set(assoc_hermite.__all__) <= set(dir(assoc_hermite))
         loaded = sorted(m for m in sys.modules if m.startswith("assoc_hermite."))
         import assoc_hermite.cli as cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -116,6 +118,7 @@ def test_modules_load_on_first_use():
                 misplaced.append(name)
         print(json.dumps({
             "import assoc_hermite": loaded,
+            "dir lists the public names": listed,
             "poly hermite 3": poly,
             "star import": [sorted(names) == sorted(assoc_hermite.__all__), len(names)],
             "misplaced": misplaced,
@@ -128,7 +131,8 @@ def test_modules_load_on_first_use():
     )
     assert json.loads(out.stdout) == {
         "import assoc_hermite": [],
+        "dir lists the public names": True,
         "poly hermite 3": [0, []],
-        "star import": [True, 74],
+        "star import": [True, 73],
         "misplaced": [],
     }

@@ -23,23 +23,9 @@ from assoc_hermite.tableaux import (
     tableau_to_matching,
     tableau_weight,
 )
+from test_matchings import complete_from_order, complete_matchings
 
 WORKED = Matching.from_text("(1,3)(2,6)(4,8)(5,7)")
-
-
-def complete_from_order(order):
-    edges = []
-    for i in range(0, len(order), 2):
-        a, b = sorted(order[i : i + 2])
-        edges.append((a, b))
-    return Matching(len(order), tuple(edges))
-
-
-complete_matchings = (
-    st.integers(1, 6)
-    .flatmap(lambda h: st.permutations(list(range(1, 2 * h + 1))))
-    .map(complete_from_order)
-)
 
 
 def test_worked_instance_shapes():
